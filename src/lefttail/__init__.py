@@ -7,110 +7,12 @@ finite-n bound tight; and ships brute-force, grid, and Monte Carlo oracles
 that verify the supporting inequalities numerically.
 """
 
-from lefttail.bounds import (
-    BoundQuery,
-    BoundResult,
-    DecayConstants,
-    FixedPointError,
-    bentkus_bound,
-    binomial_branch,
-    exponential_bound,
-    finite_n_bound,
-    hoeffding_bound,
-    hoeffding_exponential,
-    limit_bound,
-    shifted_branch,
-    solve_decay_rate,
-)
-from lefttail.extremal import (
-    BinomialSpec,
-    TightnessReport,
-    binomial_pmf,
-    extremal_for_branch,
-    poisson_limit_gap,
-    poisson_tail_at_most_one,
-    tail_at_most_one,
-    verify_tightness,
-)
-from lefttail.inequalities import (
-    CLAIMS,
-    SLOPE_THRESHOLD,
-    GridCheckResult,
-    crossover_threshold,
-    log_binomial_branch,
-    run_all_checks,
-    run_grid_check,
-    scaled_slope,
-    slope_gradient,
-    slope_quadratic,
-)
-from lefttail.oracles import (
-    Discrete,
-    DistSpec,
-    McEstimate,
-    SearchReport,
-    SearchSpaceError,
-    SimplexPoint,
-    TwoPoint,
-    Uniform,
-    bernoulli_tail,
-    maximize_bernoulli_tail,
-    maximize_two_point,
-    monte_carlo_tail,
-    parse_dist_specs,
-    spec_mean,
-    two_point_mean,
-    two_point_tail,
-)
+from lefttail import bounds, extremal, inequalities, oracles
+from lefttail.bounds import *  # noqa: F403
+from lefttail.extremal import *  # noqa: F403
+from lefttail.inequalities import *  # noqa: F403
+from lefttail.oracles import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundQuery",
-    "BoundResult",
-    "DecayConstants",
-    "FixedPointError",
-    "bentkus_bound",
-    "binomial_branch",
-    "exponential_bound",
-    "finite_n_bound",
-    "hoeffding_bound",
-    "hoeffding_exponential",
-    "limit_bound",
-    "shifted_branch",
-    "solve_decay_rate",
-    "BinomialSpec",
-    "TightnessReport",
-    "binomial_pmf",
-    "extremal_for_branch",
-    "poisson_limit_gap",
-    "poisson_tail_at_most_one",
-    "tail_at_most_one",
-    "verify_tightness",
-    "CLAIMS",
-    "SLOPE_THRESHOLD",
-    "GridCheckResult",
-    "crossover_threshold",
-    "log_binomial_branch",
-    "run_all_checks",
-    "run_grid_check",
-    "scaled_slope",
-    "slope_gradient",
-    "slope_quadratic",
-    "Discrete",
-    "DistSpec",
-    "McEstimate",
-    "SearchReport",
-    "SearchSpaceError",
-    "SimplexPoint",
-    "TwoPoint",
-    "Uniform",
-    "bernoulli_tail",
-    "maximize_bernoulli_tail",
-    "maximize_two_point",
-    "monte_carlo_tail",
-    "parse_dist_specs",
-    "spec_mean",
-    "two_point_mean",
-    "two_point_tail",
-]
+__all__ = [*bounds.__all__, *extremal.__all__, *inequalities.__all__, *oracles.__all__]

@@ -15,12 +15,20 @@ whose branches are attained exactly by a binomial and a shifted-binomial
 sum (see :mod:`lefttail.extremal`).  Its n-free limit is
 ``max{1 + lam, e} * exp(-lam)``, and solving a scalar fixed point turns
 that into the purely exponential form ``exp(1 - r*lam)``.
+
+This module holds the only implementation of each formula.  The branch
+terms and the envelope also take numpy arrays of means, which the grid
+checks in :mod:`lefttail.inequalities` use; a float mean stays on
+:mod:`math`, so scalar results do not depend on numpy's rounding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 __all__ = [
     "BoundQuery",
@@ -38,16 +46,6 @@ __all__ = [
     "exponential_bound",
 ]
 
-#: Method tags carried by BoundResult and accepted by the CLI.
-METHODS = (
-    "theorem1",
-    "theorem1-limit",
-    "hoeffding",
-    "bentkus",
-    "bentkus-simple",
-    "corollary1",
-)
-
 #: Branch tags: which term of a two-term max was active, or the piecewise
 #: regime for the finite-n envelope.
 BRANCHES = (
@@ -63,11 +61,18 @@ class FixedPointError(RuntimeError):
     """Fixed-point iteration did not converge within the step cap."""
 
 
-def _check_query(lam: float, n: int) -> None:
-    if n < 1:
+_INTEGER_TYPES = (int, np.integer)
+
+
+def _check_query(lam: float, n: int | None = None) -> None:
+    """Reject a NaN, infinite or negative mean and, when ``n`` is given, a
+    non-integer or non-positive n and a mean above n."""
+    if not 0.0 <= lam < math.inf:  # also false for NaN
+        raise ValueError(f"mean must be finite and non-negative, got {lam}")
+    if n is None:
+        return
+    if not isinstance(n, _INTEGER_TYPES) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    if lam < 0:
-        raise ValueError(f"mean must be non-negative, got {lam}")
     if lam > n:
         raise ValueError(f"mean {lam} exceeds n={n}; a sum of n variables in [0,1] cannot have a larger mean")
 
@@ -113,19 +118,38 @@ class DecayConstants:
     residual: float
 
 
-def _pow_one_minus(x: float, k: int) -> float:
-    """(1 - x)^k evaluated as exp(k * log1p(-x)).
+def _pow_one_minus(x, k: int):
+    """(1 - x)^k evaluated as exp(k * log1p(-x)), for a float or an array x.
 
-    x == 1 short-circuits to 0 and k == 0 to 1, avoiding log(0) and 0**0.
-    Log-space keeps the value finite and accurate for k in the millions.
+    k == 0 short-circuits to 1, avoiding 0**0.  A float takes the math
+    path, where x == 1 short-circuits to 0, avoiding log(0); an array
+    takes the same expression in numpy, where log1p(-1) = -inf gives
+    exp(-inf) = 0.  Log-space keeps the value finite and accurate for k in
+    the millions.
     """
     if k == 0:
         return 1.0
+    if not isinstance(x, float):
+        with np.errstate(divide="ignore"):
+            return np.exp(k * np.log1p(-x))
     if x == 0.0:
         return 1.0
     if x == 1.0:
         return 0.0
     return math.exp(k * math.log1p(-x))
+
+
+def _binomial_term(lam, n: int):
+    # P(X <= 1) for X ~ binomial(lam/n, n): the first branch, unchecked.
+    x = lam / n
+    return (1.0 + lam - x) * _pow_one_minus(x, n - 1)
+
+
+def _shifted_term(lam, n: int):
+    # P(V <= 1) for V ~ 1 + binomial((lam-1)/(n-1), n-1) without the
+    # mean >= 1 floor; the inequality grid checks evaluate it on [0, n),
+    # where it exceeds 1 and is not a bound.
+    return _pow_one_minus((lam - 1.0) / (n - 1.0), n - 1)
 
 
 def binomial_branch(lam: float, n: int) -> float:
@@ -137,8 +161,7 @@ def binomial_branch(lam: float, n: int) -> float:
     Requires 0 <= lam <= n.
     """
     _check_query(lam, n)
-    x = lam / n
-    return (1.0 + lam - x) * _pow_one_minus(x, n - 1)
+    return _binomial_term(lam, n)
 
 
 def shifted_branch(lam: float, n: int) -> float:
@@ -149,17 +172,12 @@ def shifted_branch(lam: float, n: int) -> float:
     Requires 1 <= lam <= n and n >= 2 (the n = 1 case has a degenerate
     denominator and is handled by the envelope directly).
     """
+    _check_query(lam, n)
     if n < 2:
         raise ValueError(f"shifted branch needs n >= 2, got n={n}")
-    if not 1.0 <= lam <= n:
+    if lam < 1.0:
         raise ValueError(f"shifted branch needs 1 <= mean <= n, got {lam}")
     return _shifted_term(lam, n)
-
-
-def _shifted_term(lam: float, n: int) -> float:
-    # Same expression without the mean >= 1 floor; the inequality grid
-    # checks evaluate it on [0, n) where it exceeds 1 and is not a bound.
-    return _pow_one_minus((lam - 1.0) / (n - 1.0), n - 1)
 
 
 def finite_n_bound(lam: float, n: int) -> BoundResult:
@@ -173,11 +191,24 @@ def finite_n_bound(lam: float, n: int) -> BoundResult:
         return BoundResult(1.0, "theorem1", "piecewise-one", False, 1.0)
     if lam == n:
         return BoundResult(0.0, "theorem1", "piecewise-zero", False, 0.0)
-    first = binomial_branch(lam, n)
-    second = shifted_branch(lam, n)
+    first = _binomial_term(lam, n)
+    second = _shifted_term(lam, n)
     if first >= second:
         return BoundResult(first, "theorem1", "first-max-term", False, first)
     return BoundResult(second, "theorem1", "second-max-term", False, second)
+
+
+def _envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
+    """The values of :func:`finite_n_bound` over an array of means in [0, n]."""
+    out = np.ones_like(lams)
+    if n == 1:
+        return out
+    out[lams >= n] = 0.0
+    mid = (lams > 1.0) & (lams < n)
+    if mid.any():
+        sub = lams[mid]
+        out[mid] = np.maximum(_binomial_term(sub, n), _shifted_term(sub, n))
+    return out
 
 
 def limit_bound(lam: float) -> BoundResult:
@@ -186,14 +217,13 @@ def limit_bound(lam: float) -> BoundResult:
     The first max term is the Poisson tail (1 + lam) e^-lam, the second is
     e^(1 - lam); they cross at lam = e - 1 (tie reports first-max-term).
     """
-    if lam < 0:
-        raise ValueError(f"mean must be non-negative, got {lam}")
+    _check_query(lam)
     one_plus = 1.0 + lam
     if one_plus >= math.e:
         raw = one_plus * math.exp(-lam)
         branch = "first-max-term"
     else:
-        raw = math.exp(1.0 - lam)
+        raw = _exponential_term(1.0, lam)
         branch = "second-max-term"
     return BoundResult(min(1.0, raw), "theorem1-limit", branch, raw > 1.0, raw)
 
@@ -210,6 +240,12 @@ def hoeffding_bound(lam: float, n: int) -> BoundResult:
     return BoundResult(min(1.0, raw), "hoeffding", "not-applicable", raw > 1.0, raw)
 
 
+def _exponential_term(rate: float, lam: float) -> float:
+    # exp(1 - rate * lam): the purely exponential form shared by the
+    # solved bound, the Hoeffding rate and the limit's second term (rate 1).
+    return math.exp(1.0 - rate * lam)
+
+
 def hoeffding_exponential(lam: float) -> float:
     """Exponential-rate form exp(1 - (1 - 1/e) * lam), clamped to 1.
 
@@ -217,9 +253,8 @@ def hoeffding_exponential(lam: float) -> float:
     Hoeffding comparator; its rate 1 - 1/e = 0.6321... is beaten by the
     solved rate r = 0.8414... of :func:`exponential_bound`.
     """
-    if lam < 0:
-        raise ValueError(f"mean must be non-negative, got {lam}")
-    return min(1.0, math.exp(1.0 - (1.0 - math.exp(-1.0)) * lam))
+    _check_query(lam)
+    return min(1.0, _exponential_term(1.0 - math.exp(-1.0), lam))
 
 
 def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
@@ -230,14 +265,14 @@ def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
     which needs p > 0 and so rejects lam = n.  Both clamp to 1.
     """
     _check_query(lam, n)
-    p = 1.0 - lam / n
     if simplified:
+        p = 1.0 - lam / n
         if p == 0.0:
             raise ValueError("simplified form needs mean < n (p = 0 at mean = n)")
         raw = (math.e / p) * (1.0 + lam) * math.exp(-lam)
         method = "bentkus-simple"
     else:
-        raw = math.e * (p + lam) * _pow_one_minus(lam / n, n - 1)
+        raw = math.e * _binomial_term(lam, n)
         method = "bentkus"
     return BoundResult(min(1.0, raw), method, "not-applicable", raw > 1.0, raw)
 
@@ -271,9 +306,39 @@ def exponential_bound(lam: float, constants: DecayConstants | None = None) -> Bo
 
     ``constants`` defaults to a fresh solve at tolerance 1e-12.
     """
-    if lam < 0:
-        raise ValueError(f"mean must be non-negative, got {lam}")
+    _check_query(lam)
     if constants is None:
         constants = solve_decay_rate(1e-12)
-    raw = math.exp(1.0 - constants.r * lam)
+    raw = _exponential_term(constants.r, lam)
     return BoundResult(min(1.0, raw), "corollary1", "not-applicable", raw > 1.0, raw)
+
+
+class Method(NamedTuple):
+    """A bound the CLI evaluates by name.
+
+    ``evaluate(lam, n, constants)`` ignores the arguments its bound does
+    not take; ``needs_n`` says whether it takes n, and ``stated(lam, n)``
+    whether the bound is stated at that mean (a comparison table leaves
+    the cell blank where it is not).
+    """
+
+    evaluate: Callable[[float, int, DecayConstants | None], BoundResult]
+    needs_n: bool
+    stated: Callable[[float, int], bool]
+
+
+def _everywhere(lam: float, n: int) -> bool:
+    return True
+
+
+#: The bounds by method tag, in CLI and comparison-column order.  Each
+#: entry looks its function up in this module when called, so that a
+#: replaced module attribute (a tracing wrapper, say) sees registry calls.
+METHODS = {
+    "theorem1": Method(lambda lam, n, c: finite_n_bound(lam, n), True, _everywhere),
+    "theorem1-limit": Method(lambda lam, n, c: limit_bound(lam), False, _everywhere),
+    "hoeffding": Method(lambda lam, n, c: hoeffding_bound(lam, n), True, lambda lam, n: lam >= 1.0),
+    "bentkus": Method(lambda lam, n, c: bentkus_bound(lam, n), True, _everywhere),
+    "bentkus-simple": Method(lambda lam, n, c: bentkus_bound(lam, n, simplified=True), True, lambda lam, n: lam < n),
+    "corollary1": Method(lambda lam, n, c: exponential_bound(lam, c), False, _everywhere),
+}

@@ -11,16 +11,7 @@ import json
 import sys
 from typing import Sequence
 
-from lefttail.bounds import (
-    METHODS,
-    FixedPointError,
-    bentkus_bound,
-    exponential_bound,
-    finite_n_bound,
-    hoeffding_bound,
-    limit_bound,
-    solve_decay_rate,
-)
+from lefttail.bounds import METHODS, FixedPointError, finite_n_bound, solve_decay_rate
 from lefttail.extremal import verify_tightness
 from lefttail.inequalities import run_all_checks
 from lefttail.oracles import (
@@ -49,25 +40,11 @@ def _bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _require_n(ns: argparse.Namespace) -> int:
-    if ns.n is None:
-        raise ValueError(f"--n is required for method {ns.method}")
-    return ns.n
-
-
 def _cmd_bound(ns: argparse.Namespace) -> int:
-    if ns.method == "theorem1":
-        res = finite_n_bound(ns.lam, _require_n(ns))
-    elif ns.method == "theorem1-limit":
-        res = limit_bound(ns.lam)
-    elif ns.method == "hoeffding":
-        res = hoeffding_bound(ns.lam, _require_n(ns))
-    elif ns.method == "bentkus":
-        res = bentkus_bound(ns.lam, _require_n(ns), simplified=False)
-    elif ns.method == "bentkus-simple":
-        res = bentkus_bound(ns.lam, _require_n(ns), simplified=True)
-    else:  # corollary1
-        res = exponential_bound(ns.lam)
+    method = METHODS[ns.method]
+    if method.needs_n and ns.n is None:
+        raise ValueError(f"--n is required for method {ns.method}")
+    res = method.evaluate(ns.lam, ns.n, None)
     print(f"{format_value(res.value, ns.precision)},{res.branch},{_bool(res.clamped)}")
     return 0
 
@@ -87,21 +64,15 @@ def _compare_rows(ns: argparse.Namespace):
             break
         lam = min(lam, float(n))
         fields = [format_value(lam, ns.precision), str(n)]
-        fields.append(format_value(pick(finite_n_bound(lam, n)), ns.precision))
-        fields.append(format_value(pick(limit_bound(lam)), ns.precision))
-        fields.append("" if lam < 1.0 else format_value(pick(hoeffding_bound(lam, n)), ns.precision))
-        fields.append(format_value(pick(bentkus_bound(lam, n, simplified=False)), ns.precision))
-        if lam == n:
-            fields.append("")
-        else:
-            fields.append(format_value(pick(bentkus_bound(lam, n, simplified=True)), ns.precision))
-        fields.append(format_value(pick(exponential_bound(lam, constants)), ns.precision))
+        fields += [
+            format_value(pick(m.evaluate(lam, n, constants)), ns.precision) if m.stated(lam, n) else ""
+            for m in METHODS.values()
+        ]
         yield ",".join(fields)
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    header = "lambda,n,theorem1,theorem1_limit,hoeffding,bentkus,bentkus_simple,corollary1"
-    lines = [header]
+    lines = [",".join(["lambda", "n", *(name.replace("-", "_") for name in METHODS)])]
     lines.extend(_compare_rows(ns))
     text = "\n".join(lines) + "\n"
     if ns.out in (None, "-"):

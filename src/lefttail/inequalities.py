@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from lefttail.bounds import _binomial_term, _envelope_values, _shifted_term
+
 __all__ = [
     "CLAIMS",
     "CLOSED_FORM_TOL",
@@ -104,32 +106,6 @@ def crossover_threshold(n: int) -> float:
     return math.exp(n * math.log1p(1.0 / (n - 1.0))) - ratio
 
 
-# Vectorised branch evaluations over a mean grid at fixed n.  Kept private;
-# tests pin them against the scalar forms in lefttail.bounds.
-
-
-def _binomial_vec(lams: np.ndarray, n: int) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return (1.0 + lams - lams / n) * np.exp((n - 1) * np.log1p(-lams / n))
-
-
-def _shifted_vec(lams: np.ndarray, n: int) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.exp((n - 1) * np.log1p(-(lams - 1.0) / (n - 1.0)))
-
-
-def _envelope_vec(lams: np.ndarray, n: int) -> np.ndarray:
-    out = np.ones_like(lams)
-    if n == 1:
-        return out
-    out[lams >= n] = 0.0
-    mid = (lams > 1.0) & (lams < n)
-    if mid.any():
-        sub = lams[mid]
-        out[mid] = np.maximum(_binomial_vec(sub, n), _shifted_vec(sub, n))
-    return out
-
-
 def _lam_grid(lo: float, hi: float, step: float, include_hi: bool = False) -> np.ndarray:
     count = math.floor((hi - lo) / step + 1e-9)
     grid = lo + step * np.arange(count + 1)
@@ -174,7 +150,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
             lams = _lam_grid(SLOPE_THRESHOLD, float(n), lambda_step)
             if lams.size == 0:
                 continue
-            diff = _binomial_vec(lams, n) - _binomial_vec(lams, n + 1)
+            diff = _binomial_term(lams, n) - _binomial_term(lams, n + 1)
             checked += lams.size
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
@@ -182,7 +158,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
     elif claim == "G-mono-n":
         for n in range(2, n_max):
             lams = _lam_grid(0.0, float(n), lambda_step)
-            diff = _shifted_vec(lams, n) - _shifted_vec(lams, n + 1)
+            diff = _shifted_term(lams, n) - _shifted_term(lams, n + 1)
             checked += lams.size
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
@@ -192,7 +168,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
             lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step, include_hi=False)
             if lams.size == 0:
                 continue
-            diff = _binomial_vec(lams, n) - _shifted_vec(lams, n)
+            diff = _binomial_term(lams, n) - _shifted_term(lams, n)
             checked += lams.size
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
@@ -200,7 +176,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
     elif claim == "H-mono-n":
         for n in range(1, n_max):
             lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
-            diff = _envelope_vec(lams, n) - _envelope_vec(lams, n + 1)
+            diff = _envelope_values(lams, n) - _envelope_values(lams, n + 1)
             checked += lams.size
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
@@ -208,7 +184,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
     elif claim == "H-mono-lambda":
         for n in range(1, n_max + 1):
             lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
-            vals = _envelope_vec(lams, n)
+            vals = _envelope_values(lams, n)
             diff = vals[1:] - vals[:-1]
             checked += lams.size - 1
             idx = int(np.argmax(diff))
@@ -228,7 +204,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
             lams = _lam_grid(1.0 + lambda_step, float(n), lambda_step)
             if lams.size == 0:
                 continue
-            gap = _shifted_vec(lams, n) - _binomial_vec(lams, n)
+            gap = _shifted_term(lams, n) - _binomial_term(lams, n)
             threshold = crossover_threshold(n)
             lhs = gap >= -CLOSED_FORM_TOL
             rhs = (threshold - lams) >= -CLOSED_FORM_TOL

@@ -146,41 +146,29 @@ class SearchReport:
 
 
 def bernoulli_tail(means: Sequence[float]) -> float:
-    """P(sum of independent Bernoullis <= 1) for the given mean vector.
-
-    prod(1 - q_i) + sum_j q_j prod_{i != j} (1 - q_i); the per-j products
-    are formed directly so means equal to 1 cause no division by zero.
-    """
+    """P(sum of independent Bernoullis <= 1) for the given mean vector."""
     qs = [float(v) for v in means]
     if not qs:
         raise ValueError("need at least one mean")
     for q in qs:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"means must lie in [0,1], got {q}")
-    none = 1.0
-    for q in qs:
-        none *= 1.0 - q
-    total = none
-    for j, qj in enumerate(qs):
-        if qj == 0.0:
-            continue
-        term = qj
-        for i, q in enumerate(qs):
-            if i != j:
-                term *= 1.0 - q
-        total += term
-    return total
+    return _tail_recurrence(qs)
 
 
-def _tail_rows(rows: np.ndarray) -> np.ndarray:
-    """bernoulli_tail for every row of an (N, n) array of means."""
-    comp = 1.0 - rows
-    total = comp.prod(axis=1)
-    n = rows.shape[1]
-    for j in range(n):
-        keep = [i for i in range(n) if i != j]
-        total += rows[:, j] * comp[:, keep].prod(axis=1)
-    return total
+def _tail_recurrence(columns):
+    """P(sum <= 1) over Bernoulli means given one summand at a time.
+
+    ``columns`` yields floats, or the columns of an (N, n) array of means
+    for N tails at once.  The recurrence keeps P(sum = 0) and P(sum = 1)
+    over the summands seen so far; it has no division, so means equal to
+    1 are safe.
+    """
+    p0, p1 = 1.0, 0.0
+    for q in columns:
+        p1 = p1 * (1.0 - q) + p0 * q
+        p0 = p0 * (1.0 - q)
+    return p0 + p1
 
 
 def _simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
@@ -306,7 +294,7 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     if math.comb(denom + n - 1, n - 1) > MAX_GRID_POINTS:
         raise SearchSpaceError(f"simplex grid would exceed {MAX_GRID_POINTS} points")
     rows = _simplex_grid(n, lam, denom)
-    tails = _tail_rows(rows)
+    tails = _tail_recurrence(rows.T)
     best_idx = int(np.argmax(tails))
     q_best, max_value, extra = _refine_simplex(rows[best_idx])
     max_value = max(max_value, float(tails[best_idx]))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from oracle_utils import enum_binomial_tail_at_most_one
 
@@ -42,7 +43,7 @@ class TestBinomialBranch:
         assert oracle == pytest.approx(0.4375, abs=1e-15)
         assert binomial_branch(1.5, 2) == pytest.approx(0.4375, abs=1e-12)
 
-    @pytest.mark.parametrize("lam,n", [(-0.1, 4), (4.1, 4), (1.0, 0)])
+    @pytest.mark.parametrize("lam,n", [(-0.1, 4), (4.1, 4), (1.0, 0), (math.nan, 4), (math.inf, 4), (2.0, 4.5)])
     def test_domain_errors(self, lam, n):
         with pytest.raises(ValueError):
             binomial_branch(lam, n)
@@ -61,7 +62,7 @@ class TestShiftedBranch:
         assert oracle == pytest.approx(8.0 / 27.0, abs=1e-15)
         assert shifted_branch(2.0, 4) == pytest.approx(8.0 / 27.0, abs=1e-12)
 
-    @pytest.mark.parametrize("lam,n", [(0.5, 3), (3.5, 3), (1.0, 1)])
+    @pytest.mark.parametrize("lam,n", [(0.5, 3), (3.5, 3), (1.0, 1), (math.nan, 3), (2.0, 3.5)])
     def test_domain_errors(self, lam, n):
         with pytest.raises(ValueError):
             shifted_branch(lam, n)
@@ -124,8 +125,9 @@ class TestLimitBound:
             assert limit_bound(lam).raw == pytest.approx(binomial_branch(lam, 10**6), abs=1e-5)
 
     def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            limit_bound(-0.5)
+        for lam in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                limit_bound(lam)
 
 
 class TestHoeffding:
@@ -150,8 +152,9 @@ class TestHoeffding:
         expected = math.exp(1.0 - 2.0 * (1.0 - math.exp(-1.0)))
         assert expected == pytest.approx(0.767788, abs=5e-7)
         assert hoeffding_exponential(2.0) == pytest.approx(expected, rel=1e-15)
-        with pytest.raises(ValueError):
-            hoeffding_exponential(-1.0)
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                hoeffding_exponential(lam)
 
 
 class TestBentkus:
@@ -219,18 +222,23 @@ class TestExponentialBound:
         assert expected == pytest.approx(0.505195, abs=5e-7)
 
     def test_negative_mean_rejected(self):
-        with pytest.raises(ValueError):
-            exponential_bound(-0.1)
+        for lam in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                exponential_bound(lam)
 
 
 class TestBoundQuery:
     def test_accepts_valid(self):
         BoundQuery(2.5, 4)
+        BoundQuery(2.5, np.int64(4))
+        assert finite_n_bound(2.0, np.int64(4)).value == finite_n_bound(2.0, 4).value
 
-    @pytest.mark.parametrize("lam,n", [(-1.0, 3), (3.5, 3), (1.0, 0)])
+    @pytest.mark.parametrize("lam,n", [(-1.0, 3), (3.5, 3), (1.0, 0), (math.nan, 3), (math.inf, 3), (2.0, 4.5)])
     def test_rejects_invalid(self, lam, n):
-        with pytest.raises(ValueError):
-            BoundQuery(lam, n)
+        # every bound that takes n shares the query's validation
+        for bound in (BoundQuery, finite_n_bound, hoeffding_bound, bentkus_bound):
+            with pytest.raises(ValueError):
+                bound(lam, n)
 
 
 class TestOrderingInvariants:

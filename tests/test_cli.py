@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
+
+from lefttail.bounds import METHODS
+from lefttail.cli import build_parser, main
 
 
 def run_cli(*args):
@@ -36,9 +40,11 @@ class TestBoundCommand:
         assert clamped == "true"
 
     def test_domain_error_exits_2(self):
-        proc = run_cli("bound", "--lambda", "-1", "--method", "corollary1")
-        assert proc.returncode == 2
-        assert proc.stderr != ""
+        for lam, method in (("-1", "corollary1"), ("nan", "theorem1-limit")):
+            proc = run_cli("bound", "--lambda", lam, "--method", method)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr != ""
 
     def test_missing_n_exits_2(self):
         proc = run_cli("bound", "--lambda", "2", "--method", "theorem1")
@@ -103,6 +109,68 @@ class TestCompareCommand:
         proc = run_cli("compare", "--lambda-min", "0", "--lambda-max", "1", "--step", "0.5",
                        "--n", "4", "--out", str(tmp_path / "missing" / "t.csv"))
         assert proc.returncode == 2
+
+    def test_whole_table_pinned(self):
+        # covers the column order and both blank-cell rules
+        base = ("compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "0.25", "--n", "4")
+        assert run_cli(*base).stdout == COMPARE_N4
+        assert run_cli(*base, "--raw").stdout == COMPARE_N4_RAW
+
+
+class TestMethodRegistry:
+    def test_order(self):
+        assert list(METHODS) == ["theorem1", "theorem1-limit", "hoeffding", "bentkus", "bentkus-simple", "corollary1"]
+
+    def test_cli_reads_the_registry(self, capsys):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in sub.choices["bound"]._actions if a.dest == "method")
+        assert list(method.choices) == list(METHODS)
+        assert main(["compare", "--lambda-min", "0", "--lambda-max", "0", "--step", "1", "--n", "4"]) == 0
+        header = capsys.readouterr().out.split("\n")[0].split(",")
+        assert header[2:] == [name.replace("-", "_") for name in METHODS]
+
+
+COMPARE_N4 = """\
+lambda,n,theorem1,theorem1_limit,hoeffding,bentkus,bentkus_simple,corollary1
+0.0,4,1.0,1.0,,1.0,1.0,1.0
+0.25,4,1.0,1.0,,1.0,1.0,1.0
+0.5,4,1.0,1.0,,1.0,1.0,1.0
+0.75,4,1.0,1.0,,1.0,1.0,1.0
+1.0,4,1.0,1.0,1.0,1.0,1.0,1.0
+1.25,4,0.770255,0.778801,1.0,1.0,1.0,0.94956
+1.5,4,0.578704,0.606531,1.0,1.0,1.0,0.769428
+1.75,4,0.421875,0.477878,0.93866,1.0,1.0,0.623467
+2.0,4,0.3125,0.406006,0.84375,0.849463,1.0,0.505195
+2.25,4,0.225052,0.342547,0.73114,0.611754,1.0,0.409359
+2.5,4,0.151611,0.287297,0.610352,0.412122,1.0,0.331703
+2.75,4,0.09346,0.239729,0.489441,0.254051,1.0,0.268779
+3.0,4,0.050781,0.199148,0.375,0.138038,1.0,0.217792
+3.25,4,0.022659,0.16479,0.272156,0.061594,1.0,0.176476
+3.5,4,0.00708,0.135888,0.18457,0.019246,1.0,0.142999
+3.75,4,0.000931,0.111709,0.114441,0.00253,1.0,0.115872
+4.0,4,0.0,0.091578,0.0625,0.0,,0.093891
+"""
+
+COMPARE_N4_RAW = """\
+lambda,n,theorem1,theorem1_limit,hoeffding,bentkus,bentkus_simple,corollary1
+0.0,4,1.0,2.718282,,2.718282,2.718282,2.718282
+0.25,4,1.0,2.117,,2.659757,2.822667,2.202622
+0.5,4,1.0,1.648721,,2.503925,2.826379,1.784784
+0.75,4,1.0,1.284025,,2.278162,2.765593,1.446209
+1.0,4,1.0,1.0,1.0,2.006857,2.666667,1.171862
+1.25,4,0.770255,0.778801,1.029968,1.711411,2.548803,0.94956
+1.5,4,0.578704,0.606531,1.004883,1.410241,2.426123,0.769428
+1.75,4,0.421875,0.477878,0.93866,1.118778,2.309348,0.623467
+2.0,4,0.3125,0.406006,0.84375,0.849463,2.207277,0.505195
+2.25,4,0.225052,0.342547,0.73114,0.611754,2.128321,0.409359
+2.5,4,0.151611,0.287297,0.610352,0.412122,2.082548,0.331703
+2.75,4,0.09346,0.239729,0.489441,0.254051,2.085287,0.268779
+3.0,4,0.050781,0.199148,0.375,0.138038,2.165365,0.217792
+3.25,4,0.022659,0.16479,0.272156,0.061594,2.389049,0.176476
+3.5,4,0.00708,0.135888,0.18457,0.019246,2.95506,0.142999
+3.75,4,0.000931,0.111709,0.114441,0.00253,4.858517,0.115872
+4.0,4,0.0,0.091578,0.0625,0.0,,0.093891
+"""
 
 
 class TestVerifyCommand:
