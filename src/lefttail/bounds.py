@@ -64,13 +64,16 @@ class FixedPointError(RuntimeError):
 _INTEGER_TYPES = (int, np.integer)
 
 
-def _check_query(lam: float, n: int | None = None) -> None:
-    """Reject a NaN, infinite or negative mean and, when ``n`` is given, a
-    non-integer or non-positive n and a mean above n."""
+def _check_mean(lam: float) -> None:
+    """Reject a NaN, infinite or negative mean."""
     if not 0.0 <= lam < math.inf:  # also false for NaN
         raise ValueError(f"mean must be finite and non-negative, got {lam}")
-    if n is None:
-        return
+
+
+def _check_query(lam: float, n: int) -> None:
+    """Reject an invalid mean, a non-integer or non-positive n (None
+    included) and a mean above n."""
+    _check_mean(lam)
     if not isinstance(n, _INTEGER_TYPES) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if lam > n:
@@ -217,13 +220,13 @@ def limit_bound(lam: float) -> BoundResult:
     The first max term is the Poisson tail (1 + lam) e^-lam, the second is
     e^(1 - lam); they cross at lam = e - 1 (tie reports first-max-term).
     """
-    _check_query(lam)
+    _check_mean(lam)
     one_plus = 1.0 + lam
     if one_plus >= math.e:
         raw = one_plus * math.exp(-lam)
         branch = "first-max-term"
     else:
-        raw = _exponential_term(1.0, lam)
+        raw = math.exp(1.0 - lam)
         branch = "second-max-term"
     return BoundResult(min(1.0, raw), "theorem1-limit", branch, raw > 1.0, raw)
 
@@ -240,12 +243,6 @@ def hoeffding_bound(lam: float, n: int) -> BoundResult:
     return BoundResult(min(1.0, raw), "hoeffding", "not-applicable", raw > 1.0, raw)
 
 
-def _exponential_term(rate: float, lam: float) -> float:
-    # exp(1 - rate * lam): the purely exponential form shared by the
-    # solved bound, the Hoeffding rate and the limit's second term (rate 1).
-    return math.exp(1.0 - rate * lam)
-
-
 def hoeffding_exponential(lam: float) -> float:
     """Exponential-rate form exp(1 - (1 - 1/e) * lam), clamped to 1.
 
@@ -253,8 +250,8 @@ def hoeffding_exponential(lam: float) -> float:
     Hoeffding comparator; its rate 1 - 1/e = 0.6321... is beaten by the
     solved rate r = 0.8414... of :func:`exponential_bound`.
     """
-    _check_query(lam)
-    return min(1.0, _exponential_term(1.0 - math.exp(-1.0), lam))
+    _check_mean(lam)
+    return min(1.0, math.exp(1.0 - (1.0 - math.exp(-1.0)) * lam))
 
 
 def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
@@ -306,10 +303,10 @@ def exponential_bound(lam: float, constants: DecayConstants | None = None) -> Bo
 
     ``constants`` defaults to a fresh solve at tolerance 1e-12.
     """
-    _check_query(lam)
+    _check_mean(lam)
     if constants is None:
         constants = solve_decay_rate(1e-12)
-    raw = _exponential_term(constants.r, lam)
+    raw = math.exp(1.0 - constants.r * lam)
     return BoundResult(min(1.0, raw), "corollary1", "not-applicable", raw > 1.0, raw)
 
 
@@ -317,13 +314,11 @@ class Method(NamedTuple):
     """A bound the CLI evaluates by name.
 
     ``evaluate(lam, n, constants)`` ignores the arguments its bound does
-    not take; ``needs_n`` says whether it takes n, and ``stated(lam, n)``
-    whether the bound is stated at that mean (a comparison table leaves
-    the cell blank where it is not).
+    not take, and ``stated(lam, n)`` says whether the bound is stated at
+    that mean (a comparison table leaves the cell blank where it is not).
     """
 
     evaluate: Callable[[float, int, DecayConstants | None], BoundResult]
-    needs_n: bool
     stated: Callable[[float, int], bool]
 
 
@@ -335,10 +330,10 @@ def _everywhere(lam: float, n: int) -> bool:
 #: entry looks its function up in this module when called, so that a
 #: replaced module attribute (a tracing wrapper, say) sees registry calls.
 METHODS = {
-    "theorem1": Method(lambda lam, n, c: finite_n_bound(lam, n), True, _everywhere),
-    "theorem1-limit": Method(lambda lam, n, c: limit_bound(lam), False, _everywhere),
-    "hoeffding": Method(lambda lam, n, c: hoeffding_bound(lam, n), True, lambda lam, n: lam >= 1.0),
-    "bentkus": Method(lambda lam, n, c: bentkus_bound(lam, n), True, _everywhere),
-    "bentkus-simple": Method(lambda lam, n, c: bentkus_bound(lam, n, simplified=True), True, lambda lam, n: lam < n),
-    "corollary1": Method(lambda lam, n, c: exponential_bound(lam, c), False, _everywhere),
+    "theorem1": Method(lambda lam, n, c: finite_n_bound(lam, n), _everywhere),
+    "theorem1-limit": Method(lambda lam, n, c: limit_bound(lam), _everywhere),
+    "hoeffding": Method(lambda lam, n, c: hoeffding_bound(lam, n), lambda lam, n: lam >= 1.0),
+    "bentkus": Method(lambda lam, n, c: bentkus_bound(lam, n), _everywhere),
+    "bentkus-simple": Method(lambda lam, n, c: bentkus_bound(lam, n, simplified=True), lambda lam, n: lam < n),
+    "corollary1": Method(lambda lam, n, c: exponential_bound(lam, c), _everywhere),
 }

@@ -41,10 +41,7 @@ def _bool(flag: bool) -> str:
 
 
 def _cmd_bound(ns: argparse.Namespace) -> int:
-    method = METHODS[ns.method]
-    if method.needs_n and ns.n is None:
-        raise ValueError(f"--n is required for method {ns.method}")
-    res = method.evaluate(ns.lam, ns.n, None)
+    res = METHODS[ns.method].evaluate(ns.lam, ns.n, None)
     print(f"{format_value(res.value, ns.precision)},{res.branch},{_bool(res.clamped)}")
     return 0
 

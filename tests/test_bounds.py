@@ -233,7 +233,7 @@ class TestBoundQuery:
         BoundQuery(2.5, np.int64(4))
         assert finite_n_bound(2.0, np.int64(4)).value == finite_n_bound(2.0, 4).value
 
-    @pytest.mark.parametrize("lam,n", [(-1.0, 3), (3.5, 3), (1.0, 0), (math.nan, 3), (math.inf, 3), (2.0, 4.5)])
+    @pytest.mark.parametrize("lam,n", [(-1.0, 3), (3.5, 3), (1.0, 0), (math.nan, 3), (math.inf, 3), (2.0, 4.5), (2.0, None), (0.5, None)])
     def test_rejects_invalid(self, lam, n):
         # every bound that takes n shares the query's validation
         for bound in (BoundQuery, finite_n_bound, hoeffding_bound, bentkus_bound):

@@ -47,8 +47,11 @@ class TestBoundCommand:
             assert proc.stderr != ""
 
     def test_missing_n_exits_2(self):
-        proc = run_cli("bound", "--lambda", "2", "--method", "theorem1")
-        assert proc.returncode == 2
+        for method in ("theorem1", "hoeffding", "bentkus", "bentkus-simple"):
+            proc = run_cli("bound", "--lambda", "2", "--method", method)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr != ""
 
     def test_unknown_method_exits_2(self):
         proc = run_cli("bound", "--lambda", "2", "--method", "chernoff")

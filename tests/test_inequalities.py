@@ -147,27 +147,34 @@ class TestKernels:
     """Each kernel gives an array of means the values it gives each mean alone.
 
     The two share every operation except exp and log1p, where numpy's
-    vector loops and the C library round differently in the last bit on
-    about a tenth of the points.  Through exp, that error scales with the
-    size of the exponent, up to a relative 2e-12 among the subnormal tails
-    at n = 300, so the comparison allows 1e-11.
+    vector loops and the C library may round differently in the last bit.
+    On small n that stays within 1e-14; through exp the error scales with
+    the size of the exponent, up to a relative 2e-12 among the subnormal
+    tails at n = 300, so the wide sweep allows 1e-11.
     """
 
     @staticmethod
-    def check(array_form, scalar_form, counts):
-        for n in counts:
-            lams = np.linspace(0.0, min(n, 800), 4001)
-            expected = [scalar_form(float(lam), n) for lam in lams]
-            assert array_form(lams, n).tolist() == pytest.approx(expected, rel=1e-11, abs=1e-320)
+    def check(array_form, scalar_form, lams, n, rel, abs):
+        expected = [scalar_form(float(lam), n) for lam in lams]
+        assert array_form(lams, n).tolist() == pytest.approx(expected, rel=rel, abs=abs)
 
     def test_binomial_term(self):
-        self.check(_binomial_term, _binomial_term, (1, 2, 7, 300, 10**6))
+        self.check(_binomial_term, binomial_branch, np.arange(0.0, 7.0, 0.13), 7, 1e-14, 1e-300)
 
     def test_shifted_term(self):
-        self.check(_shifted_term, _shifted_term, (2, 7, 300, 10**6))
+        self.check(_shifted_term, shifted_branch, np.arange(1.0, 6.0, 0.17), 6, 1e-14, 1e-300)
 
     def test_envelope(self):
-        self.check(_envelope_values, lambda lam, n: finite_n_bound(lam, n).value, (1, 2, 7, 300, 10**6))
+        lams = np.arange(0.0, 5.0001, 0.11)
+        self.check(_envelope_values, lambda lam, n: finite_n_bound(lam, n).value, lams, 5, 1e-14, 1e-300)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 300, 10**6])
+    def test_wide_sweep(self, n):
+        lams = np.linspace(0.0, min(n, 800), 4001)
+        self.check(_binomial_term, _binomial_term, lams, n, 1e-11, 1e-320)
+        self.check(_envelope_values, lambda lam, n: finite_n_bound(lam, n).value, lams, n, 1e-11, 1e-320)
+        if n >= 2:
+            self.check(_shifted_term, _shifted_term, lams, n, 1e-11, 1e-320)
 
 
 class TestGridChecks:
