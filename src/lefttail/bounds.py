@@ -70,12 +70,17 @@ def _check_mean(lam: float) -> None:
         raise ValueError(f"mean must be finite and non-negative, got {lam}")
 
 
-def _check_query(lam: float, n: int) -> None:
-    """Reject an invalid mean, a non-integer or non-positive n (None
-    included) and a mean above n."""
-    _check_mean(lam)
+def _check_n(n: int) -> None:
+    """Reject a non-integer or non-positive n (None included); Python and
+    numpy integers pass."""
     if not isinstance(n, _INTEGER_TYPES) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+
+
+def _check_query(lam: float, n: int) -> None:
+    """Reject an invalid mean, an invalid n and a mean above n."""
+    _check_mean(lam)
+    _check_n(n)
     if lam > n:
         raise ValueError(f"mean {lam} exceeds n={n}; a sum of n variables in [0,1] cannot have a larger mean")
 

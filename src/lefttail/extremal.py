@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from lefttail.bounds import BoundQuery, binomial_branch, shifted_branch
+from lefttail.bounds import BoundQuery, _check_mean, binomial_branch, shifted_branch
 
 __all__ = [
     "BinomialSpec",
@@ -143,8 +143,7 @@ def verify_tightness(lam: float, n: int) -> list[TightnessReport]:
 
 def poisson_tail_at_most_one(lam: float) -> float:
     """P(X <= 1) = (1 + lam) e^-lam for X ~ Poisson(lam)."""
-    if lam < 0:
-        raise ValueError(f"mean must be non-negative, got {lam}")
+    _check_mean(lam)
     return (1.0 + lam) * math.exp(-lam)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lefttail.bounds import _binomial_term, _envelope_values, _shifted_term
+from lefttail.bounds import _binomial_term, _check_mean, _check_n, _envelope_values, _shifted_term
 
 __all__ = [
     "CLAIMS",
@@ -80,7 +80,8 @@ def scaled_slope(x: float, lam: float) -> float:
     """
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must be in (0,1], got {x}")
-    if lam <= 0:
+    _check_mean(lam)
+    if lam == 0:
         raise ValueError(f"mean must be positive, got {lam}")
     return math.log(x) + (1.0 - x) / x - (1.0 - x) ** 2 / (x * (x + lam))
 
@@ -100,6 +101,7 @@ def slope_gradient(x: float, lam: float) -> float:
 def crossover_threshold(n: int) -> float:
     """(n/(n-1))^n - n/(n-1): the mean below which the binomial branch is
     dominated by the shifted branch.  Tends to e - 1 as n grows."""
+    _check_n(n)
     if n < 2:
         raise ValueError(f"crossover threshold needs n >= 2, got {n}")
     ratio = n / (n - 1.0)

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from lefttail.bounds import finite_n_bound
+from lefttail.bounds import _check_query, finite_n_bound
 
 __all__ = [
     "SimplexPoint",
@@ -40,8 +40,14 @@ __all__ = [
 # that should hit the threshold exactly are not lost to float noise.
 SUM_TOL = 1e-12
 
-# Hard cap on exhaustive search sizes.
+# Hard cap on exhaustive search sizes: simplex grid points, or sorted
+# combinations of two-point grid summands.
 MAX_GRID_POINTS = 1_000_000_000
+
+# Rows the exhaustive searches build and evaluate at a time.  Their memory
+# then does not grow with the grid, and a chunk's arrays stay in cache:
+# 2^13 to 2^14 rows ran fastest, 2^18 about 40% slower.
+CHUNK_ROWS = 1 << 13
 
 
 class SearchSpaceError(ValueError):
@@ -111,8 +117,9 @@ class Discrete:
         for x in self.points:
             if not 0.0 <= x <= 1.0:
                 raise ValueError(f"support must lie in [0,1], got {x}")
-        if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
+        for p in self.probs:
+            if not 0.0 <= p <= 1.0:  # also false for NaN
+                raise ValueError(f"probabilities must lie in [0,1], got {p}")
         if abs(sum(self.probs) - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {sum(self.probs)}, expected 1")
 
@@ -134,7 +141,9 @@ class SearchReport:
     """Outcome of an exhaustive search against a bound.
 
     slack = bound_value - max_value; the search passes iff slack is not
-    meaningfully negative.
+    meaningfully negative.  ``points_evaluated`` counts the simplex grid
+    points plus the refinement's tail evaluations, or the distinct sorted
+    two-point combinations inside the mean window.
     """
 
     max_value: float
@@ -171,42 +180,97 @@ def _tail_recurrence(columns):
     return p0 + p1
 
 
-def _simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
-    """Grid points on {q in [0,1]^n : sum q = lam}.
+def _expand(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(parent, child)`` for every parent i and child in ``[lb[i], ub[i])``.
+
+    Parents keep their order and each parent's children follow in
+    increasing order, so expanding lexicographically sorted tuples by one
+    more index keeps them sorted.
+    """
+    counts = np.maximum(ub - lb, 0)
+    parent = np.repeat(np.arange(len(lb)), counts)
+    starts = np.cumsum(counts) - counts
+    child = np.arange(parent.size) + np.repeat(lb - starts, counts)
+    return parent, child
+
+
+def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
+    """Non-decreasing index tuples into the sorted array ``values`` whose
+    value sums lie in ``[lo, hi]``, in lexicographic order.
+
+    Yields chunks ``(index, total)`` of at most CHUNK_ROWS rows plus one
+    parent's children: ``index`` is a list of ``size`` index columns and
+    ``total`` holds the rows' value sums.
+
+    The tuples grow one index at a time.  With ``rest`` indices still to
+    come after the next one, each at least its value and at most
+    ``values[-1]``, the next value v can complete a tuple in the window
+    only if ``total + (rest + 1) v <= hi`` and ``total + v + rest
+    values[-1] >= lo``; every depth keeps just that range.
+    """
+    top = values[-1]
+
+    def grow(index: list, total: np.ndarray):
+        depth = len(index)
+        if depth == size:
+            yield index, total
+            return
+        rest = size - depth - 1
+        start = index[-1] if depth else 0
+        lb = np.maximum(start, np.searchsorted(values, lo - total - rest * top, side="left"))
+        ub = np.searchsorted(values, (hi - total) / (rest + 1), side="right")
+        ends = np.cumsum(np.maximum(ub - lb, 0))
+        cuts = np.searchsorted(ends, np.arange(CHUNK_ROWS, ends[-1], CHUNK_ROWS), side="right")
+        for a, b in zip((0, *cuts), (*cuts, len(ends))):
+            parent, child = _expand(lb[a:b], ub[a:b])
+            if child.size:
+                parent += a
+                yield from grow([column[parent] for column in index] + [child], total[parent] + values[child])
+
+    yield from grow([], np.zeros(1, dtype=values.dtype))
+
+
+def _prefix_window(lam: float, denom: int) -> tuple[int, int]:
+    """Sums, in grid units, of the first n-1 simplex coordinates that leave
+    a last coordinate in [0, 1] (to within 1e-9/denom)."""
+    return math.ceil((lam - 1.0) * denom - 1e-9), math.floor(lam * denom + 1e-9)
+
+
+def _simplex_grid(n: int, lam: float, denom: int):
+    """Grid points on {q in [0,1]^n : sum q = lam}, as chunks of n columns.
 
     The first n-1 coordinates run over non-decreasing multiples of
     1/denom (the tail is permutation-symmetric, so sorted prefixes cover
     every multiset); the last coordinate is the exact remainder, kept only
-    when it lands in [0,1].  Sums are exact by construction.
+    when it lands in [0,1].  Sums are exact by construction.  Rows come in
+    lexicographic order of the prefix.
     """
     unit = 1.0 / denom
+    lo_units, hi_units = _prefix_window(lam, denom)
+    for index, total in _sorted_tuples(np.arange(denom + 1), lo_units, hi_units, n - 1):
+        last = lam - total * unit
+        last = np.where(last > 0.0, last, 0.0)  # as max(0.0, last): -0.0 becomes 0.0
+        yield [k * unit for k in index] + [np.where(last < 1.0, last, 1.0)]
+
+
+def _simplex_size(n: int, lam: float, denom: int) -> int:
+    """Exact number of rows :func:`_simplex_grid` yields, without building any.
+
+    ``count[k][s]`` is the number of non-decreasing k-tuples from
+    0..d with sum s.  Raising d by one adds the tuples with every entry
+    at least 1 (shift a k-tuple from 0..d-1 up by one: sum + k) to those
+    holding a 0 (a (k-1)-tuple from 0..d plus a 0).
+    """
+    lo_units, hi_units = _prefix_window(lam, denom)
     m = n - 1
-    # remainder in [0,1] <=> prefix sum (in grid units) within [lam-1, lam]*denom
-    lo_units = math.ceil((lam - 1.0) * denom - 1e-9)
-    hi_units = math.floor(lam * denom + 1e-9)
-    rows: list[tuple[float, ...]] = []
-
-    def rec(depth: int, start: int, partial: int, prefix: list[float]) -> None:
-        remaining = m - depth
-        if remaining == 0:
-            if lo_units <= partial <= hi_units:
-                last = lam - partial * unit
-                if -1e-9 <= last <= 1.0 + 1e-9:
-                    rows.append(tuple(prefix) + (min(1.0, max(0.0, last)),))
-            return
-        for k in range(start, denom + 1):
-            if partial + k * remaining > hi_units:
-                break
-            if partial + k + (remaining - 1) * denom < lo_units:
-                continue
-            prefix.append(k * unit)
-            rec(depth + 1, k, partial + k, prefix)
-            prefix.pop()
-
-    rec(0, 0, 0, [])
-    if not rows:
-        raise RuntimeError(f"empty simplex grid for n={n}, mean={lam}, resolution=1/{denom}")
-    return np.asarray(rows, dtype=float)
+    count = np.zeros((m + 1, hi_units + 1), dtype=np.int64)
+    count[:, 0] = 1
+    for _ in range(denom):
+        for k in range(1, m + 1):
+            row = count[k - 1].copy()
+            row[k:] += count[k, : max(hi_units + 1 - k, 0)]
+            count[k] = row
+    return int(count[m, max(lo_units, 0) :].sum())
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float, int]:
@@ -284,20 +348,23 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     never be meaningfully negative; the refined argmax is expected to be
     either (near-)symmetric or to pin some coordinate at 0 or 1.
     """
+    _check_query(lam, n)
     if not 2 <= n <= 6:
         raise ValueError(f"simplex search supports 2 <= n <= 6, got {n}")
-    if not 0.0 <= lam <= n:
-        raise ValueError(f"need 0 <= mean <= n, got mean={lam}, n={n}")
     if not 1e-3 <= resolution <= 0.1:
         raise ValueError(f"resolution must be in [1e-3, 0.1], got {resolution}")
     denom = round(1.0 / resolution)
-    if math.comb(denom + n - 1, n - 1) > MAX_GRID_POINTS:
-        raise SearchSpaceError(f"simplex grid would exceed {MAX_GRID_POINTS} points")
-    rows = _simplex_grid(n, lam, denom)
-    tails = _tail_recurrence(rows.T)
-    best_idx = int(np.argmax(tails))
-    q_best, max_value, extra = _refine_simplex(rows[best_idx])
-    max_value = max(max_value, float(tails[best_idx]))
+    size = _simplex_size(n, lam, denom)
+    if size > MAX_GRID_POINTS:
+        raise SearchSpaceError(f"simplex grid has {size} points, over the budget of {MAX_GRID_POINTS}")
+    best_tail, best_row = -1.0, None
+    for columns in _simplex_grid(n, lam, denom):
+        tails = _tail_recurrence(columns)
+        i = int(np.argmax(tails))
+        if tails[i] > best_tail:
+            best_tail, best_row = float(tails[i]), [float(q[i]) for q in columns]
+    q_best, max_value, extra = _refine_simplex(best_row)
+    max_value = max(max_value, best_tail)
     # renormalise refinement round-off so the argmax sums to lam exactly
     drift = lam - sum(q_best)
     if abs(drift) > 0:
@@ -310,7 +377,7 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
         bound_value=bound,
         slack=bound - max_value,
         resolution=resolution,
-        points_evaluated=len(rows) + extra,
+        points_evaluated=size + extra,
     )
 
 
@@ -345,19 +412,42 @@ def two_point_mean(summands: Sequence[TwoPoint]) -> float:
     return sum(s.mean() for s in summands)
 
 
-def _two_point_options(denom: int) -> tuple[list[TwoPoint], np.ndarray, np.ndarray, np.ndarray]:
-    """All grid summands (low <= high, prob on the same grid) plus their
-    means and per-summand outcome (value, probability) pairs."""
-    values = [i / denom for i in range(denom + 1)]
-    options: list[TwoPoint] = []
-    for i, low in enumerate(values):
-        for high in values[i:]:
-            for p in values:
-                options.append(TwoPoint(low, high, p))
-    means = np.array([o.mean() for o in options])
-    out_vals = np.array([[o.low, o.high] for o in options])
-    out_probs = np.array([[1.0 - o.prob_high, o.prob_high] for o in options])
-    return options, means, out_vals, out_probs
+def _two_point_options(denom: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct grid summands ``(low, high, prob_high)`` and their means,
+    sorted by mean.
+
+    A summand with ``low == high`` or ``prob_high`` in {0, 1} is a point
+    mass; each grid value appears once as ``(v, v, 0)``.  The others have
+    ``low < high`` and ``0 < prob_high < 1`` on the grid.
+    """
+    grid = np.arange(denom + 1) / denom
+    i, j = np.triu_indices(denom + 1, 1)
+    k = np.arange(1, denom)
+    low = np.concatenate((np.repeat(grid[i], k.size), grid))
+    high = np.concatenate((np.repeat(grid[j], k.size), grid))
+    prob = np.concatenate((np.tile(grid[k], i.size), np.zeros(denom + 1)))
+    means = low + prob * (high - low)
+    order = np.argsort(means, kind="stable")
+    return low[order], high[order], prob[order], means[order]
+
+
+def _two_point_tails(summands: list) -> np.ndarray:
+    """Exact P(sum <= 1) for rows of independent two-point summands.
+
+    ``summands`` holds, for each summand, its two outcomes as ``(value,
+    probability)`` arrays over the rows.  The outcomes of all summands but
+    the first are combined into one list, which is thresholded against each
+    outcome of the first; sums within SUM_TOL of 1 count as <= 1.
+    """
+    first, *others = summands
+    rest = others[0]
+    for outcomes in others[1:]:
+        rest = [(v + w, p * q) for v, p in rest for w, q in outcomes]
+    tails = 0.0
+    for value, prob in first:
+        threshold = 1.0 + SUM_TOL - value
+        tails = tails + prob * sum(p * (v <= threshold) for v, p in rest)
+    return tails
 
 
 def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
@@ -366,63 +456,30 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     Keeps grid specs whose mean is within ``resolution`` of lam and
     compares the maximal exact tail against the finite-n bound evaluated
     at lam - resolution: the bound is non-increasing in the mean, so that
-    adjustment makes the comparison sound at grid precision.
+    adjustment makes the comparison sound at grid precision.  The tail is
+    symmetric in its summands, so each multiset of distinct grid summands
+    is evaluated once; ``points_evaluated`` counts these.
     """
+    _check_query(lam, n)
     if n not in (2, 3):
         raise ValueError(f"two-point search supports n in {{2, 3}}, got {n}")
-    if not 0.0 <= lam <= n:
-        raise ValueError(f"need 0 <= mean <= n, got mean={lam}, n={n}")
-    if resolution < 0.05:
-        raise ValueError(f"resolution must be >= 0.05, got {resolution}")
+    if not 0.05 <= resolution <= 1.0:
+        raise ValueError(f"resolution must be in [0.05, 1], got {resolution}")
     denom = round(1.0 / resolution)
-    options, means, out_vals, out_probs = _two_point_options(denom)
-    m = len(options)
-    if m**n > MAX_GRID_POINTS:
-        raise SearchSpaceError(f"{m}^{n} two-point specs exceed the budget")
+    low, high, prob, means = _two_point_options(denom)
+    if math.comb(len(means) + n - 1, n) > MAX_GRID_POINTS:
+        raise SearchSpaceError(f"{len(means)} two-point specs give over {MAX_GRID_POINTS} combinations of {n}")
+    stay = 1.0 - prob
     window = resolution + 1e-12
 
-    if n == 2:
-        other_means, other_vals, other_probs = means, out_vals, out_probs
-        index_of = np.arange(m)
-    else:
-        # pair table over the last two summands, flattened
-        other_means = (means[:, None] + means[None, :]).reshape(-1)
-        other_vals = (out_vals[:, None, :, None] + out_vals[None, :, None, :]).reshape(m * m, 4)
-        other_probs = (out_probs[:, None, :, None] * out_probs[None, :, None, :]).reshape(m * m, 4)
-        index_of = np.arange(m * m)
-
-    order = np.argsort(other_means, kind="stable")
-    sorted_means = other_means[order]
-    sorted_vals = other_vals[order]
-    sorted_probs = other_probs[order]
-    sorted_index = index_of[order]
-
-    best_val = -1.0
-    best_combo: tuple[int, ...] | None = None
-    points = 0
-    for a in range(m):
-        lo = np.searchsorted(sorted_means, lam - window - means[a], side="left")
-        hi = np.searchsorted(sorted_means, lam + window - means[a], side="right")
-        if lo >= hi:
-            continue
-        vals = sorted_vals[lo:hi]
-        probs = sorted_probs[lo:hi]
-        tails = np.zeros(hi - lo)
-        for oa in range(2):
-            pa = out_probs[a, oa]
-            if pa == 0.0:
-                continue
-            threshold = 1.0 + SUM_TOL - out_vals[a, oa]
-            tails += pa * (probs * (vals <= threshold)).sum(axis=1)
-        points += hi - lo
-        local = int(np.argmax(tails))
-        if tails[local] > best_val:
-            best_val = float(tails[local])
-            rest = int(sorted_index[lo + local])
-            best_combo = (a, rest) if n == 2 else (a, rest // m, rest % m)
-    if best_combo is None:
-        raise RuntimeError(f"no grid spec has mean within {resolution} of {lam}")
-    argmax = tuple(options[i] for i in best_combo)
+    best_val, best_combo, points = -1.0, None, 0
+    for index, _ in _sorted_tuples(means, lam - window, lam + window, n):
+        tails = _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index])
+        points += len(tails)
+        i = int(np.argmax(tails))
+        if tails[i] > best_val:
+            best_val, best_combo = float(tails[i]), [c[i] for c in index]
+    argmax = tuple(TwoPoint(float(low[k]), float(high[k]), float(prob[k])) for k in best_combo)
     bound = finite_n_bound(max(0.0, lam - resolution), n).value
     return SearchReport(
         max_value=best_val,
@@ -430,7 +487,7 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
         bound_value=bound,
         slack=bound - best_val,
         resolution=resolution,
-        points_evaluated=int(points),
+        points_evaluated=points,
     )
 
 

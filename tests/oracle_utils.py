@@ -7,7 +7,10 @@ package), so agreement is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def enum_binomial_pmf(p: float, trials: int, k: int) -> float:
@@ -61,6 +64,41 @@ def enum_two_point_tail(summands) -> float:
         if value <= 1.0 + 1e-12:
             total += prob
     return total
+
+
+def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
+    """Rows of the simplex search grid by depth-first recursion.
+
+    The first n-1 coordinates are non-decreasing multiples of 1/denom and
+    the last is the remainder lam - sum, kept when it lies in [0,1].  Rows
+    come in lexicographic order of the prefix.  This is the search's
+    earlier grid builder, kept as the reference for the vectorised one.
+    """
+    unit = 1.0 / denom
+    m = n - 1
+    lo_units = math.ceil((lam - 1.0) * denom - 1e-9)
+    hi_units = math.floor(lam * denom + 1e-9)
+    rows: list[tuple[float, ...]] = []
+
+    def rec(depth: int, start: int, partial: int, prefix: list[float]) -> None:
+        remaining = m - depth
+        if remaining == 0:
+            if lo_units <= partial <= hi_units:
+                last = lam - partial * unit
+                if -1e-9 <= last <= 1.0 + 1e-9:
+                    rows.append(tuple(prefix) + (min(1.0, max(0.0, last)),))
+            return
+        for k in range(start, denom + 1):
+            if partial + k * remaining > hi_units:
+                break
+            if partial + k + (remaining - 1) * denom < lo_units:
+                continue
+            prefix.append(k * unit)
+            rec(depth + 1, k, partial + k, prefix)
+            prefix.pop()
+
+    rec(0, 0, 0, [])
+    return np.asarray(rows, dtype=float)
 
 
 def exact_simplex_volume_tail(n: int) -> Fraction:

@@ -201,6 +201,13 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert proc.stdout.startswith("two-point,true,")
 
+    def test_non_finite_resolution_exits_2(self):
+        for target, resolution in (("two-point", "inf"), ("two-point", "nan"), ("lemma4", "inf"), ("lemma4", "nan")):
+            proc = run_cli("verify", target, "--n", "2", "--lambda", "1.5", "--resolution", resolution)
+            assert proc.returncode == 2, (target, resolution)
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("error: resolution must be in ")
+
     def test_inequalities_seven_lines(self):
         proc = run_cli("verify", "inequalities", "--n-max", "50", "--lambda-step", "0.05")
         assert proc.returncode == 0

@@ -161,6 +161,11 @@ class TestPoisson:
         with pytest.raises(ValueError):
             poisson_tail_at_most_one(-0.2)
 
+    def test_non_finite_mean_rejected(self):
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                poisson_tail_at_most_one(lam)
+
     def test_gap_decreases(self):
         gaps = [poisson_limit_gap(2.0, n) for n in (10, 100, 1000)]
         assert gaps[0] > gaps[1] > gaps[2]

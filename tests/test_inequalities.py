@@ -84,6 +84,9 @@ class TestScaledSlope:
             scaled_slope(0.0, 1.0)
         with pytest.raises(ValueError):
             scaled_slope(0.5, 0.0)
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                scaled_slope(0.5, lam)
 
     def test_gradient_matches_finite_difference(self):
         for lam in (1.2, SLOPE_THRESHOLD, 2.5, 5.0):
@@ -124,6 +127,12 @@ class TestCrossoverThreshold:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             crossover_threshold(1)
+
+    def test_rejects_non_integer_n(self):
+        for n in (4.5, 4.0, math.nan, None):
+            with pytest.raises(ValueError):
+                crossover_threshold(n)
+        assert crossover_threshold(np.int64(3)) == crossover_threshold(3)
 
     def test_floor_above_slope_threshold(self):
         assert math.e - 1.5 > SLOPE_THRESHOLD

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import enum_bernoulli_tail, enum_two_point_tail, exact_simplex_volume_tail
+from oracle_utils import enum_bernoulli_tail, enum_two_point_tail, exact_simplex_volume_tail, recursive_simplex_grid
 
+from lefttail import oracles
 from lefttail.bounds import finite_n_bound
 from lefttail.oracles import (
     Discrete,
@@ -36,6 +39,16 @@ def near_symmetric(q, lam, tol):
 
 def touches_boundary(q, tol):
     return any(v <= tol or v >= 1.0 - tol for v in q)
+
+
+def traced_peak(call):
+    """Peak bytes that tracemalloc sees while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestBernoulliTail:
@@ -76,6 +89,22 @@ class TestSimplexPoint:
             SimplexPoint((0.5, 0.9), 1.5)
         with pytest.raises(ValueError):
             SimplexPoint((), 0.0)
+
+
+class TestSimplexGrid:
+    @pytest.mark.parametrize("n, resolution", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (6, 0.05)])
+    def test_matches_recursive_reference(self, n, resolution, monkeypatch):
+        # same float bits in the same order, in whole chunks and in chunks
+        # smaller than one parent's children; the count needs no rows
+        denom = round(1.0 / resolution)
+        for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n)):
+            ref = recursive_simplex_grid(n, lam, denom)
+            assert oracles._simplex_size(n, lam, denom) == len(ref), lam
+            for chunk in (oracles.CHUNK_ROWS, 7):
+                monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+                got = np.concatenate([np.column_stack(c) for c in oracles._simplex_grid(n, lam, denom)])
+                assert got.shape == ref.shape, (lam, chunk)
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (lam, chunk)
 
 
 class TestMaximizeBernoulliTail:
@@ -119,6 +148,26 @@ class TestMaximizeBernoulliTail:
             maximize_bernoulli_tail(3, 1.5, 0.5)
         with pytest.raises(SearchSpaceError):
             maximize_bernoulli_tail(6, 3.0, 0.001)
+        for n, lam, resolution in ((4.0, 2.0, 0.05), (3, 1.5, math.nan), (3, 1.5, math.inf), (3, math.nan, 0.05)):
+            with pytest.raises(ValueError):
+                maximize_bernoulli_tail(n, lam, resolution)
+        assert maximize_bernoulli_tail(np.int64(3), 1.5, 0.05).bound_value == finite_n_bound(1.5, 3).value
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 2.72 M grid rows: about 109 MB as one array of five floats a row
+        reports = []
+        peak = traced_peak(lambda: reports.append(maximize_bernoulli_tail(5, 2.5, 0.01)))
+        assert reports[0].points_evaluated > 2_720_000
+        assert peak < 32e6
+
+    def test_over_budget_rejected_before_allocating(self):
+        for search, args in ((maximize_bernoulli_tail, (6, 3.0, 0.001)), (maximize_two_point, (3, 1.5, 0.05))):
+
+            def call(search=search, args=args):
+                with pytest.raises(SearchSpaceError):
+                    search(*args)
+
+            assert traced_peak(call) < 2e6, search.__name__
 
     def test_grid_stage_dominates_direct_enumeration(self):
         # unordered full product grid on the first n-1 coordinates, exact
@@ -215,6 +264,45 @@ class TestMaximizeTwoPoint:
             maximize_two_point(2, 1.5, 0.01)
         with pytest.raises(SearchSpaceError):
             maximize_two_point(3, 1.5, 0.05)
+        for n, lam, resolution in ((2.0, 1.5, 0.1), (2, 1.5, math.inf), (2, 1.5, math.nan), (2, 1.5, 2.5), (2, 2.5, 0.1)):
+            with pytest.raises(ValueError):
+                maximize_two_point(n, lam, resolution)
+
+    def test_distinct_options(self):
+        # one point mass per grid value, then low < high with 0 < p < 1
+        for denom, count in ((8, 261), (10, 506)):
+            low, high, prob, means = oracles._two_point_options(denom)
+            assert len(set(zip(low, high, prob))) == len(means) == count
+            assert np.all(np.diff(means) >= 0.0)
+
+    def test_matches_uncanonicalised_triple_loop(self, monkeypatch):
+        # every ordered triple of the (low <= high, p) grid specs, point
+        # masses written several ways included; the search visits each
+        # multiset of distinct distributions once
+        resolution = 0.25
+        values = [k / 4 for k in range(5)]
+        options = [(low, high, p) for low in values for high in values if high >= low for p in values]
+
+        def canonical(option):
+            low, high, p = option
+            if low == high or p == 0.0:
+                return (low, low, 0.0)
+            return (high, high, 0.0) if p == 1.0 else option
+
+        lam = 1.5
+        means = [low + p * (high - low) for low, high, p in options]
+        direct, multisets = -1.0, set()
+        for a, b, c in itertools.product(range(len(options)), repeat=3):
+            if abs(means[a] + means[b] + means[c] - lam) <= resolution + 1e-12:
+                triple = (options[a], options[b], options[c])
+                direct = max(direct, enum_two_point_tail(triple))
+                multisets.add(tuple(sorted(map(canonical, triple))))
+        rep = maximize_two_point(3, lam, resolution)
+        assert abs(rep.max_value - direct) <= 1e-15
+        assert rep.points_evaluated == len(multisets)
+        assert two_point_tail(rep.argmax) == pytest.approx(rep.max_value, abs=1e-12)
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 7)
+        assert maximize_two_point(3, lam, resolution) == rep
 
     def test_matches_direct_enumeration_coarse(self):
         # replay the whole search as a plain double loop at a coarse grid
@@ -258,6 +346,10 @@ class TestDistSpecs:
             Discrete((1.5,), (1.0,))
         with pytest.raises(ValueError):
             Discrete((), ())
+        with pytest.raises(ValueError):
+            Discrete((0.0, 1.0), (math.nan, 0.5))
+        with pytest.raises(ValueError):
+            parse_dist_specs([{"type": "discrete", "points": [0.0, 1.0], "probs": [math.nan, 0.5]}])
         d = Discrete((0.0, 0.5, 1.0), (0.25, 0.5, 0.25))
         assert d.mean() == pytest.approx(0.5)
 
