@@ -19,16 +19,20 @@ that into the purely exponential form ``exp(1 - r*lam)``.
 This module holds the only implementation of each formula.  The branch
 terms and the envelope also take numpy arrays of means, which the grid
 checks in :mod:`lefttail.inequalities` use; a float mean stays on
-:mod:`math`, so scalar results do not depend on numpy's rounding.
+:mod:`math`, so scalar results do not depend on numpy's rounding.  numpy
+is imported only where an array is evaluated (an array argument means it
+is already loaded), so the scalar bounds and the command line's ``bound``
+subcommand run without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple
+import operator
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BoundQuery",
@@ -61,9 +65,6 @@ class FixedPointError(RuntimeError):
     """Fixed-point iteration did not converge within the step cap."""
 
 
-_INTEGER_TYPES = (int, np.integer)
-
-
 def _check_mean(lam: float) -> None:
     """Reject a NaN, infinite or negative mean."""
     if not 0.0 <= lam < math.inf:  # also false for NaN
@@ -72,8 +73,12 @@ def _check_mean(lam: float) -> None:
 
 def _check_n(n: int) -> None:
     """Reject a non-integer or non-positive n (None included); Python and
-    numpy integers pass."""
-    if not isinstance(n, _INTEGER_TYPES) or n < 1:
+    numpy integers pass, as does anything else with ``__index__``."""
+    try:
+        operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be a positive integer, got {n}") from None
+    if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
 
 
@@ -85,22 +90,25 @@ def _check_query(lam: float, n: int) -> None:
         raise ValueError(f"mean {lam} exceeds n={n}; a sum of n variables in [0,1] cannot have a larger mean")
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class _Query(NamedTuple):
+    lam: float
+    n: int
+
+
+class BoundQuery(_Query):
     """A (mean, summand count) pair; the input every bound consumes.
 
     Invariants: ``0 <= lam <= n`` and ``n >= 1``.
     """
 
-    lam: float
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_query(self.lam, self.n)
+    def __new__(cls, lam: float, n: int) -> BoundQuery:
+        _check_query(lam, n)
+        return super().__new__(cls, lam, n)
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """A bound value in [0, 1] plus bookkeeping.
 
     ``raw`` is the pre-clamp value; ``clamped`` is True when raw > 1.
@@ -116,8 +124,7 @@ class BoundResult:
     raw: float
 
 
-@dataclass(frozen=True)
-class DecayConstants:
+class DecayConstants(NamedTuple):
     """Fixed point a0 of a = exp(a - 2) and the decay rate r = 1 - a0."""
 
     a0: float
@@ -138,6 +145,8 @@ def _pow_one_minus(x, k: int):
     if k == 0:
         return 1.0
     if not isinstance(x, float):
+        import numpy as np
+
         with np.errstate(divide="ignore"):
             return np.exp(k * np.log1p(-x))
     if x == 0.0:
@@ -208,6 +217,8 @@ def finite_n_bound(lam: float, n: int) -> BoundResult:
 
 def _envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
     """The values of :func:`finite_n_bound` over an array of means in [0, n]."""
+    import numpy as np
+
     out = np.ones_like(lams)
     if n == 1:
         return out

@@ -2,25 +2,24 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 usage or
 domain error.  Output is locale-independent CSV ('.' decimals, LF lines).
+
+``bound``, ``compare``, ``solve-r`` and ``verify tightness`` run on the
+closed forms alone; the handlers that need the array modules (``verify
+lemma4``, ``two-point`` and ``inequalities``, and ``mc``) import them when
+they run and call through the module attribute, so the other subcommands
+never load numpy and a replaced attribute (a tracing wrapper) sees every
+call.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import itertools
 import sys
 from typing import Sequence
 
 from lefttail.bounds import METHODS, FixedPointError, finite_n_bound, solve_decay_rate
 from lefttail.extremal import verify_tightness
-from lefttail.inequalities import run_all_checks
-from lefttail.oracles import (
-    maximize_bernoulli_tail,
-    maximize_two_point,
-    monte_carlo_tail,
-    parse_dist_specs,
-    spec_mean,
-)
 
 SLACK_TOL = 1e-9
 GAP_TOL = 1e-12
@@ -46,7 +45,8 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _compare_rows(ns: argparse.Namespace):
+def _compare_lines(ns: argparse.Namespace):
+    """The table's lines, header first, made one at a time."""
     n = ns.n
     if ns.step <= 0:
         raise ValueError("--step must be positive")
@@ -55,6 +55,7 @@ def _compare_rows(ns: argparse.Namespace):
     constants = solve_decay_rate(1e-12)
     count = int((ns.lambda_max - ns.lambda_min) / ns.step + 1e-9)
     pick = (lambda r: r.raw) if ns.raw else (lambda r: r.value)
+    yield ",".join(["lambda", "n", *(name.replace("-", "_") for name in METHODS)])
     for k in range(count + 1):
         lam = ns.lambda_min + k * ns.step
         if lam > ns.lambda_max + 1e-12:
@@ -69,14 +70,18 @@ def _compare_rows(ns: argparse.Namespace):
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
-    lines = [",".join(["lambda", "n", *(name.replace("-", "_") for name in METHODS)])]
-    lines.extend(_compare_rows(ns))
-    text = "\n".join(lines) + "\n"
+    lines = _compare_lines(ns)
+    # Making the header and the first row checks every argument (n and the
+    # precision by evaluating and formatting a row), so a rejected one
+    # leaves the output empty; the other rows are written as they are made
+    # and memory does not grow with the table.
+    head = list(itertools.islice(lines, 2))
+    table = (line + "\n" for line in itertools.chain(head, lines))
     if ns.out in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(table)
     else:
         with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(table)
     return 0
 
 
@@ -93,17 +98,23 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             all_passed &= ok
             lines.append(_report_line(f"tightness-{rep.branch}", ok, rep.gap, 1))
     elif ns.target == "lemma4":
-        rep = maximize_bernoulli_tail(ns.n, ns.lam, ns.resolution)
+        from lefttail import oracles
+
+        rep = oracles.maximize_bernoulli_tail(ns.n, ns.lam, ns.resolution)
         ok = rep.slack >= -SLACK_TOL
         all_passed &= ok
         lines.append(_report_line("lemma4", ok, max(0.0, -rep.slack), rep.points_evaluated))
     elif ns.target == "two-point":
-        rep = maximize_two_point(ns.n, ns.lam, ns.resolution)
+        from lefttail import oracles
+
+        rep = oracles.maximize_two_point(ns.n, ns.lam, ns.resolution)
         ok = rep.slack >= -SLACK_TOL
         all_passed &= ok
         lines.append(_report_line("two-point", ok, max(0.0, -rep.slack), rep.points_evaluated))
     else:  # inequalities
-        for res in run_all_checks(ns.n_max, ns.lambda_step):
+        from lefttail import inequalities
+
+        for res in inequalities.run_all_checks(ns.n_max, ns.lambda_step):
             all_passed &= res.passed
             lines.append(_report_line(res.claim, res.passed, res.worst_violation, res.points_checked))
     print("\n".join(lines))
@@ -120,14 +131,18 @@ def _cmd_solve_r(ns: argparse.Namespace) -> int:
 
 
 def _cmd_mc(ns: argparse.Namespace) -> int:
+    import json
+
+    from lefttail import oracles
+
     try:
         with open(ns.spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read spec file {ns.spec}: {exc}") from exc
-    specs = parse_dist_specs(data)
-    result = monte_carlo_tail(specs, ns.trials, ns.seed)
-    bound = finite_n_bound(spec_mean(specs), len(specs)).value
+    specs = oracles.parse_dist_specs(data)
+    result = oracles.monte_carlo_tail(specs, ns.trials, ns.seed)
+    bound = finite_n_bound(oracles.spec_mean(specs), len(specs)).value
     ok = result.estimate - result.ci_halfwidth <= bound + GAP_TOL
     print(
         f"{format_value(result.estimate, ns.precision)},{format_value(result.ci_halfwidth, ns.precision)},"

@@ -10,7 +10,7 @@ improved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from lefttail.bounds import BoundQuery, _check_mean, binomial_branch, shifted_branch
 
@@ -30,32 +30,35 @@ __all__ = [
 _EXACT_TRIALS_MAX = 60
 
 
-@dataclass(frozen=True)
-class BinomialSpec:
+class _Binomial(NamedTuple):
+    p: float
+    trials: int
+    shift: int = 0
+
+
+class BinomialSpec(_Binomial):
     """A (possibly shifted) binomial: shift + binomial(p, trials).
 
     shift = 0 is the plain binomial family; shift = 1 starts the support
     at 1 and is the second extremal family.
     """
 
-    p: float
-    trials: int
-    shift: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"success probability must be in [0,1], got {self.p}")
-        if self.trials < 0:
-            raise ValueError(f"trial count must be non-negative, got {self.trials}")
-        if self.shift not in (0, 1):
-            raise ValueError(f"shift must be 0 or 1, got {self.shift}")
+    def __new__(cls, p: float, trials: int, shift: int = 0) -> BinomialSpec:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"success probability must be in [0,1], got {p}")
+        if trials < 0:
+            raise ValueError(f"trial count must be non-negative, got {trials}")
+        if shift not in (0, 1):
+            raise ValueError(f"shift must be 0 or 1, got {shift}")
+        return super().__new__(cls, p, trials, shift)
 
     def mean(self) -> float:
         return self.shift + self.trials * self.p
 
 
-@dataclass(frozen=True)
-class TightnessReport:
+class TightnessReport(NamedTuple):
     """Gap between a bound branch and the tail of its extremal distribution."""
 
     query: BoundQuery

@@ -83,7 +83,13 @@ def scaled_slope(x: float, lam: float) -> float:
     _check_mean(lam)
     if lam == 0:
         raise ValueError(f"mean must be positive, got {lam}")
-    return math.log(x) + (1.0 - x) / x - (1.0 - x) ** 2 / (x * (x + lam))
+    return _slope_term(x, lam)
+
+
+def _slope_term(x, lam: float):
+    # scaled_slope unchecked, for a scalar or an array x (the u-nonneg grid)
+    log = np.log if isinstance(x, np.ndarray) else math.log
+    return log(x) + (1.0 - x) / x - (1.0 - x) ** 2 / (x * (x + lam))
 
 
 def slope_quadratic(x: float, lam: float) -> float:
@@ -196,7 +202,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
         xs = np.arange(1, 1001) / 1000.0
         lams = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True)
         for lam in lams:
-            u = np.log(xs) + (1.0 - xs) / xs - (1.0 - xs) ** 2 / (xs * (xs + lam))
+            u = _slope_term(xs, lam)
             checked += xs.size
             idx = int(np.argmin(u))
             consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -112,6 +115,30 @@ class TestCompareCommand:
         proc = run_cli("compare", "--lambda-min", "0", "--lambda-max", "1", "--step", "0.5",
                        "--n", "4", "--out", str(tmp_path / "missing" / "t.csv"))
         assert proc.returncode == 2
+
+    def test_rejected_arguments_write_nothing(self, tmp_path):
+        out = tmp_path / "t.csv"
+        base = ("compare", "--lambda-min", "0", "--lambda-max", "0", "--step", "1")
+        for extra in (("--n", "0"), ("--n", "4", "--precision", "-1"), ("--n", "4", "--step", "nan")):
+            for target in ((), ("--out", str(out))):
+                proc = run_cli(*base, *extra, *target)
+                assert proc.returncode == 2, extra
+                assert proc.stdout == "" and proc.stderr.startswith("error: "), extra
+                assert not out.exists()
+
+    def test_memory_does_not_grow_with_the_table(self):
+        def peak(rows):
+            argv = ["compare", "--lambda-min", "1", "--lambda-max", str(1 + (rows - 1) * 1e-3), "--step", "0.001", "--n", "100"]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # 6000 rows are about 0.5 MB of CSV
+        assert peak(6000) < 1.25 * peak(600) + 16_000
 
     def test_whole_table_pinned(self):
         # covers the column order and both blank-cell rules

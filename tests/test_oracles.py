@@ -397,6 +397,23 @@ class TestMonteCarlo:
         c = monte_carlo_tail(specs, 50_000, seed=124)
         assert a != c
 
+    def test_chunked_draws_match_a_single_draw(self, monkeypatch):
+        specs = [TwoPoint(0.0, 0.6, 0.3), Uniform(0.1, 0.5), Discrete((0.0, 0.25, 0.9), (0.5, 0.3, 0.2))] * 3
+        trials = 25_000
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", trials)
+        single = monte_carlo_tail(specs, trials, seed=5)
+        for rows in (1000, 4096, 8192, 3 * trials):
+            monkeypatch.setattr(oracles, "CHUNK_ROWS", rows)
+            assert monte_carlo_tail(specs, trials, seed=5) == single, rows
+
+    def test_memory_does_not_grow_with_trials(self):
+        # 400 k trials of 10 summands: 32 MB of uniforms as one draw
+        specs = [TwoPoint(0.0, 0.6, 0.3), Uniform(0.1, 0.5)] * 5
+        small = traced_peak(lambda: monte_carlo_tail(specs, 20_000, seed=3))
+        large = traced_peak(lambda: monte_carlo_tail(specs, 400_000, seed=3))
+        assert large < 1.25 * small + 64_000
+        assert large < 4e6
+
     def test_validation(self):
         with pytest.raises(ValueError):
             monte_carlo_tail([], 10_000, 0)
