@@ -50,17 +50,6 @@ __all__ = [
     "exponential_bound",
 ]
 
-#: Branch tags: which term of a two-term max was active, or the piecewise
-#: regime for the finite-n envelope.
-BRANCHES = (
-    "first-max-term",
-    "second-max-term",
-    "piecewise-one",
-    "piecewise-zero",
-    "not-applicable",
-)
-
-
 class FixedPointError(RuntimeError):
     """Fixed-point iteration did not converge within the step cap."""
 

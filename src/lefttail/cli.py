@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from typing import Sequence
 
@@ -23,6 +24,9 @@ from lefttail.extremal import verify_tightness
 
 SLACK_TOL = 1e-9
 GAP_TOL = 1e-12
+# Rows one compare table may have: about 15 s of work at the 15 us a row
+# measured on a 2-core Xeon.
+MAX_COMPARE_ROWS = 1_000_000
 
 
 def format_value(x: float, precision: int = 6) -> str:
@@ -48,12 +52,14 @@ def _cmd_bound(ns: argparse.Namespace) -> int:
 def _compare_lines(ns: argparse.Namespace):
     """The table's lines, header first, made one at a time."""
     n = ns.n
-    if ns.step <= 0:
-        raise ValueError("--step must be positive")
+    if not 0.0 < ns.step < math.inf:
+        raise ValueError(f"--step must be positive and finite, got {ns.step}")
     if not 0.0 <= ns.lambda_min <= ns.lambda_max <= n:
         raise ValueError("need 0 <= lambda-min <= lambda-max <= n")
-    constants = solve_decay_rate(1e-12)
     count = int((ns.lambda_max - ns.lambda_min) / ns.step + 1e-9)
+    if count >= MAX_COMPARE_ROWS:
+        raise ValueError(f"--step {ns.step} gives {count + 1} rows, over the budget of {MAX_COMPARE_ROWS}")
+    constants = solve_decay_rate(1e-12)
     pick = (lambda r: r.raw) if ns.raw else (lambda r: r.value)
     yield ",".join(["lambda", "n", *(name.replace("-", "_") for name in METHODS)])
     for k in range(count + 1):
@@ -222,6 +228,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
+        if getattr(ns, "precision", 0) < 0:
+            raise ValueError(f"--precision must be >= 0, got {ns.precision}")
         return _HANDLERS[ns.cmd](ns)
     except FixedPointError as exc:
         print(f"error: {exc}", file=sys.stderr)

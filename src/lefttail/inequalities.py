@@ -124,11 +124,6 @@ def _lam_grid(lo: float, hi: float, step: float, include_hi: bool = False) -> np
     return grid
 
 
-def _worst(diffs: np.ndarray, points: list[dict]) -> tuple[float, dict]:
-    idx = int(np.argmax(diffs))
-    return float(diffs[idx]), points[idx]
-
-
 def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> GridCheckResult:
     """Sweep one claim over its stated (mean, n) or (x, mean) domain.
 
@@ -140,8 +135,8 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     if n_max > 500:
         raise ValueError(f"n_max capped at 500, got {n_max}")
-    if lambda_step < 1e-3:
-        raise ValueError(f"lambda_step must be >= 1e-3, got {lambda_step}")
+    if not 1e-3 <= lambda_step < math.inf:
+        raise ValueError(f"lambda_step must be finite and >= 1e-3, got {lambda_step}")
 
     worst = -math.inf
     worst_point: dict = {}
@@ -153,23 +148,26 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
             worst = violation
             worst_point = point
 
-    if claim == "F-mono-n":
-        for n in range(2, n_max):
-            lams = _lam_grid(SLOPE_THRESHOLD, float(n), lambda_step)
-            if lams.size == 0:
-                continue
-            diff = _binomial_term(lams, n) - _binomial_term(lams, n + 1)
+    mono_n = {
+        "F-mono-n": (_binomial_term, SLOPE_THRESHOLD, 2, False),
+        "G-mono-n": (_shifted_term, 0.0, 2, False),
+        "H-mono-n": (_envelope_values, 0.0, 1, True),
+    }
+    if claim in mono_n:
+        term, lo, n_lo, include_hi = mono_n[claim]
+        # _lam_grid(lo, n, ...) is a prefix of _lam_grid(lo, n + 1, ...), so
+        # the row at n + 1, evaluated once over its own grid, is carried on
+        # as the next row at n.
+        lams = _lam_grid(lo, float(n_lo), lambda_step, include_hi)
+        row = term(lams, n_lo)
+        for n in range(n_lo, n_max):
+            next_lams = _lam_grid(lo, float(n + 1), lambda_step, include_hi)
+            next_row = term(next_lams, n + 1)
+            diff = row - next_row[: lams.size]
             checked += lams.size
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
-
-    elif claim == "G-mono-n":
-        for n in range(2, n_max):
-            lams = _lam_grid(0.0, float(n), lambda_step)
-            diff = _shifted_term(lams, n) - _shifted_term(lams, n + 1)
-            checked += lams.size
-            idx = int(np.argmax(diff))
-            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
+            lams, row = next_lams, next_row
 
     elif claim == "FG-order":
         for n in range(2, n_max + 1):
@@ -177,14 +175,6 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
             if lams.size == 0:
                 continue
             diff = _binomial_term(lams, n) - _shifted_term(lams, n)
-            checked += lams.size
-            idx = int(np.argmax(diff))
-            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
-
-    elif claim == "H-mono-n":
-        for n in range(1, n_max):
-            lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
-            diff = _envelope_values(lams, n) - _envelope_values(lams, n + 1)
             checked += lams.size
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
@@ -201,11 +191,12 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
     elif claim == "u-nonneg":
         xs = np.arange(1, 1001) / 1000.0
         lams = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True)
-        for lam in lams:
-            u = _slope_term(xs, lam)
-            checked += xs.size
-            idx = int(np.argmin(u))
-            consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})
+        # a block of 64 means at a time: one (64, 1000) array, about 0.5 MB
+        for a in range(0, lams.size, 64):
+            u = _slope_term(xs, lams[a : a + 64, None])
+            checked += u.size
+            i, j = divmod(int(np.argmin(u)), xs.size)
+            consider(float(-u[i, j]), {"lam": float(lams[a + i]), "x": float(xs[j])})
 
     elif claim == "crossover-consistency":
         for n in range(2, n_max + 1):

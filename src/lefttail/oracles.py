@@ -51,6 +51,10 @@ MAX_GRID_POINTS = 1_000_000_000
 # fastest at 2^12 to 2^13 rows, about 40% faster than a single draw.
 CHUNK_ROWS = 1 << 13
 
+# Candidate partial sums one step of the exact-tail convolution may hold:
+# at about 80 bytes each in flight, a step peaks near 22 MB.
+MAX_PARTIAL_SUMS = 1 << 18
+
 
 class SearchSpaceError(ValueError):
     """The requested exhaustive search exceeds the point budget."""
@@ -384,29 +388,31 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
 
 
 def two_point_tail(summands: Sequence[TwoPoint]) -> float:
-    """Exact P(sum <= 1) for independent two-point variables, by enumeration.
-
-    All 2^n value combinations are enumerated (in blocks, so n = 20 stays
-    within memory); sums within SUM_TOL of 1 count as <= 1.
-    """
-    m = len(summands)
-    if m == 0:
+    """Exact P(sum <= 1) for independent two-point variables, by the
+    convolution of :func:`_atoms_tail`; sums within SUM_TOL of 1 count as <= 1."""
+    if len(summands) == 0:
         raise ValueError("need at least one summand")
-    if m > 20:
-        raise SearchSpaceError(f"2^{m} enumeration exceeds the budget (max 20 summands)")
-    lows = np.array([s.low for s in summands])
-    highs = np.array([s.high for s in summands])
-    phs = np.array([s.prob_high for s in summands])
-    total = 0.0
-    block = 1 << 16
-    shifts = np.arange(m, dtype=np.int64)
-    for start in range(0, 1 << m, block):
-        idx = np.arange(start, min(start + block, 1 << m), dtype=np.int64)
-        bits = (idx[:, None] >> shifts) & 1
-        values = np.where(bits == 1, highs, lows)
-        probs = np.where(bits == 1, phs, 1.0 - phs).prod(axis=1)
-        total += float(probs[values.sum(axis=1) <= 1.0 + SUM_TOL].sum())
-    return total
+    return _atoms_tail([((s.low, s.high), (1.0 - s.prob_high, s.prob_high)) for s in summands])
+
+
+def _atoms_tail(atoms: Sequence[tuple[Sequence[float], Sequence[float]]]) -> float:
+    """Exact P(sum <= 1) for independent summands given as ``(values,
+    probs)`` atom lists, with values in [0, 1].
+
+    Convolves in one summand at a time.  Adding a non-negative value never
+    lowers a float sum, so partial sums above 1 + SUM_TOL are dropped, and
+    equal ones merged.  Over MAX_PARTIAL_SUMS candidate sums in one step,
+    it raises SearchSpaceError.
+    """
+    sums, probs = np.zeros(1), np.ones(1)
+    for values, weights in atoms:
+        if sums.size * len(values) > MAX_PARTIAL_SUMS:
+            raise SearchSpaceError(f"{sums.size * len(values)} partial sums exceed the budget of {MAX_PARTIAL_SUMS}")
+        total = np.add.outer(sums, values).ravel()
+        keep = total <= 1.0 + SUM_TOL
+        sums, index = np.unique(total[keep], return_inverse=True)
+        probs = np.bincount(index, weights=np.multiply.outer(probs, weights).ravel()[keep])
+    return float(probs.sum())
 
 
 def two_point_mean(summands: Sequence[TwoPoint]) -> float:

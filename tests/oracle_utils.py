@@ -1,7 +1,10 @@
 """Independent brute-force oracles used to derive expected test values.
 
 Everything here enumerates outcomes directly (no shared code with the
-package), so agreement is meaningful evidence of correctness.
+package), so agreement is meaningful evidence of correctness.  The one
+exception is :func:`per_n_grid_check`, which keeps the grid checks' earlier
+loop structure over the package's own kernels, so that the two can be
+compared bit for bit.
 """
 
 from __future__ import annotations
@@ -99,6 +102,48 @@ def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
 
     rec(0, 0, 0, [])
     return np.asarray(rows, dtype=float)
+
+
+def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float, dict, int]:
+    """``(worst_violation, worst_point, points_checked)`` of one grid claim,
+    evaluating both rows of every n afresh and u-nonneg one mean at a time.
+
+    This is the grid checks' earlier loop structure for F-mono-n,
+    G-mono-n, H-mono-n and u-nonneg, kept as the reference for the version
+    that evaluates each row once and u-nonneg in blocks of means.
+    """
+    from lefttail.bounds import _binomial_term, _envelope_values, _shifted_term
+    from lefttail.inequalities import SLOPE_THRESHOLD, _lam_grid, _slope_term
+
+    worst, worst_point, checked = -math.inf, {}, 0
+
+    def consider(violation, point):
+        nonlocal worst, worst_point
+        if violation > worst:
+            worst, worst_point = violation, point
+
+    if claim == "u-nonneg":
+        xs = np.arange(1, 1001) / 1000.0
+        for lam in _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True):
+            u = _slope_term(xs, lam)
+            checked += xs.size
+            idx = int(np.argmin(u))
+            consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})
+    else:
+        term, lo, n_lo, include_hi = {
+            "F-mono-n": (_binomial_term, SLOPE_THRESHOLD, 2, False),
+            "G-mono-n": (_shifted_term, 0.0, 2, False),
+            "H-mono-n": (_envelope_values, 0.0, 1, True),
+        }[claim]
+        for n in range(n_lo, n_max):
+            lams = _lam_grid(lo, float(n), lambda_step, include_hi)
+            if lams.size == 0:
+                continue
+            diff = term(lams, n) - term(lams, n + 1)
+            checked += lams.size
+            idx = int(np.argmax(diff))
+            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
+    return (0.0 if worst == -math.inf else worst), worst_point, checked
 
 
 def exact_simplex_volume_tail(n: int) -> Fraction:

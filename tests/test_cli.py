@@ -12,6 +12,7 @@ import tracemalloc
 
 import pytest
 
+from lefttail import cli
 from lefttail.bounds import METHODS
 from lefttail.cli import build_parser, main
 
@@ -125,6 +126,23 @@ class TestCompareCommand:
                 assert proc.returncode == 2, extra
                 assert proc.stdout == "" and proc.stderr.startswith("error: "), extra
                 assert not out.exists()
+
+    def test_errors_name_the_argument(self):
+        base = ("compare", "--lambda-min", "0", "--lambda-max", "1000000", "--n", "1000000")
+        for extra, name in ((("--step", "nan"), "--step"), (("--step", "1e-9"), "--step"),
+                            (("--step", "1", "--precision", "-1"), "--precision")):
+            proc = run_cli(*base, *extra)
+            assert proc.returncode == 2 and proc.stdout == "", extra
+            assert proc.stderr.startswith("error: ") and name in proc.stderr, proc.stderr
+
+    def test_row_budget(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_COMPARE_ROWS", 5)
+        argv = ["compare", "--lambda-min", "0", "--lambda-max", "1", "--n", "4", "--step"]
+        assert main(argv + ["0.25"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert main(argv + ["0.2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "6 rows, over the budget of 5" in err
 
     def test_memory_does_not_grow_with_the_table(self):
         def peak(rows):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle_utils import central_difference
+from oracle_utils import central_difference, per_n_grid_check
 
 from lefttail.bounds import (
     _binomial_term,
@@ -211,8 +211,19 @@ class TestGridChecks:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             run_grid_check("F-mono-n", n_max=1000)
-        with pytest.raises(ValueError):
-            run_grid_check("F-mono-n", lambda_step=1e-5)
+        for step in (1e-5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                run_grid_check("F-mono-n", lambda_step=step)
+
+    # (2, 0.5) and (1, 0.5) leave F-mono-n and G-mono-n without a single row;
+    # (3, 0.001) gives u-nonneg a last block of 54 means
+    @pytest.mark.parametrize("n_max, step", [(100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5)])
+    @pytest.mark.parametrize("claim", ["F-mono-n", "G-mono-n", "H-mono-n", "u-nonneg"])
+    def test_matches_per_n_loops(self, claim, n_max, step):
+        res = run_grid_check(claim, n_max, step)
+        worst, point, checked = per_n_grid_check(claim, n_max, step)
+        assert res.worst_violation.hex() == worst.hex()
+        assert (res.worst_point, res.points_checked) == (point, checked)
 
     def test_run_all_order_and_count(self):
         results = run_all_checks(n_max=10, lambda_step=0.05)

@@ -208,7 +208,7 @@ class TestTwoPointTail:
     def test_matches_enumeration_random(self):
         rng = np.random.default_rng(17)
         for _ in range(30):
-            n = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 13))
             summands = []
             for _ in range(n):
                 low, high = sorted(rng.uniform(size=2))
@@ -217,10 +217,23 @@ class TestTwoPointTail:
             assert two_point_tail(summands) == pytest.approx(enum_two_point_tail(triples), abs=1e-12)
 
     def test_size_limit(self):
-        with pytest.raises(SearchSpaceError):
-            two_point_tail([TwoPoint(0.0, 1.0, 0.5)] * 21)
+        # distinct powers of two: no two subsets share a sum, so partial sums
+        # double with each summand until the budget stops them
+        summands = [TwoPoint(0.0, 2.0 ** -(k + 2), 0.5) for k in range(30)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchSpaceError):
+                two_point_tail(summands)
+            assert tracemalloc.get_traced_memory()[1] < 64e6
+        finally:
+            tracemalloc.stop()
         with pytest.raises(ValueError):
             two_point_tail([])
+
+    def test_many_bernoulli_summands(self):
+        # far past 2^20 outcomes, but only the partial sums 0 and 1 survive
+        for p in (0.01, 0.05, 0.3):
+            assert two_point_tail([TwoPoint(0.0, 1.0, p)] * 40) == pytest.approx(bernoulli_tail([p] * 40), abs=1e-15)
 
 
 class TestTwoPointMean:
@@ -413,6 +426,22 @@ class TestMonteCarlo:
         large = traced_peak(lambda: monte_carlo_tail(specs, 400_000, seed=3))
         assert large < 1.25 * small + 64_000
         assert large < 4e6
+
+    def test_matches_exact_tail(self):
+        specs = [
+            TwoPoint(0.0, 0.4, 0.3),
+            TwoPoint(0.05, 0.7, 0.2),
+            TwoPoint(0.1, 0.1, 0.0),
+            Discrete((0.0, 0.1, 0.35, 0.9), (0.4, 0.3, 0.2, 0.1)),
+            Discrete((0.05, 0.25), (0.6, 0.4)),
+        ] * 2
+        exact = oracles._atoms_tail(
+            [((s.low, s.high), (1.0 - s.prob_high, s.prob_high)) if isinstance(s, TwoPoint) else (s.points, s.probs) for s in specs]
+        )
+        assert 0.05 < exact < 0.95
+        trials = 200_000
+        res = monte_carlo_tail(specs, trials, seed=11)
+        assert abs(res.estimate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
     def test_validation(self):
         with pytest.raises(ValueError):
