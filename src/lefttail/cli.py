@@ -30,8 +30,13 @@ MAX_COMPARE_ROWS = 1_000_000
 
 
 def format_value(x: float, precision: int = 6) -> str:
-    """Fixed-point with trailing zeros stripped, keeping one decimal."""
-    s = f"{x:.{precision}f}"
+    """Fixed-point with trailing zeros stripped, keeping one decimal.
+
+    A double's exact decimal expansion has at most 1074 digits after the
+    point (5e-324 = 2^-1074), so a higher precision only pads zeros that
+    are stripped anyway; it is clamped there.
+    """
+    s = f"{x:.{min(precision, 1074)}f}"
     if "." in s:
         s = s.rstrip("0")
         if s.endswith("."):

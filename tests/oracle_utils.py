@@ -38,17 +38,24 @@ def enum_binomial_tail_at_most_one(p: float, trials: int, shift: int = 0) -> flo
     return total
 
 
-def enum_bernoulli_tail(means) -> float:
-    """P(sum of independent Bernoullis <= 1) by enumerating 2^n outcomes."""
-    total = 0.0
+def enum_bernoulli_states(means) -> tuple[float, float]:
+    """(P(sum = 0), P(sum = 1)) of independent Bernoullis by enumerating
+    2^n outcomes; an empty list gives (1, 0)."""
+    states = [0.0, 0.0]
     for outcome in itertools.product((0, 1), repeat=len(means)):
         if sum(outcome) > 1:
             continue
         prob = 1.0
         for bit, q in zip(outcome, means):
             prob *= q if bit else 1.0 - q
-        total += prob
-    return total
+        states[sum(outcome)] += prob
+    return states[0], states[1]
+
+
+def enum_bernoulli_tail(means) -> float:
+    """P(sum of independent Bernoullis <= 1) by enumerating 2^n outcomes."""
+    p0, p1 = enum_bernoulli_states(means)
+    return p0 + p1
 
 
 def enum_two_point_tail(summands) -> float:

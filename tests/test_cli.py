@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -64,6 +65,29 @@ class TestBoundCommand:
     def test_precision_override(self):
         proc = run_cli("bound", "--lambda", "2", "--method", "theorem1-limit", "--precision", "9")
         assert proc.stdout.split(",")[0] == "0.40600585"
+
+    def test_huge_precision_is_clamped(self):
+        # past 1074 digits, the longest exact expansion of a double, every
+        # digit is a 0 that is stripped; 10^9 digits would be a 1 GB string
+        args = ("bound", "--lambda", "2", "--n", "4", "--method", "bentkus")
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "lefttail", *args, "--precision", "1000000000"],
+            capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == run_cli(*args, "--precision", "1074").stdout
+        for x in (5e-324, 2.0**-1022, 0.1, 1.0 / 3.0, 1e300):
+            assert float(cli.format_value(x, 1074)) == x
+            tracemalloc.start()
+            try:
+                assert cli.format_value(x, 10**7) == cli.format_value(x, 1074)
+                assert tracemalloc.get_traced_memory()[1] < 100_000
+            finally:
+                tracemalloc.stop()
 
 
 class TestCompareCommand:

@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle_utils import enum_bernoulli_tail, enum_two_point_tail, exact_simplex_volume_tail, recursive_simplex_grid
+from oracle_utils import (
+    enum_bernoulli_states,
+    enum_bernoulli_tail,
+    enum_two_point_tail,
+    exact_simplex_volume_tail,
+    recursive_simplex_grid,
+)
 
 from lefttail import oracles
 from lefttail.bounds import finite_n_bound
@@ -117,8 +123,12 @@ class TestMaximizeBernoulliTail:
     def test_symmetric_maximizer(self):
         rep = maximize_bernoulli_tail(3, 2.0, 0.02)
         assert rep.max_value == pytest.approx(7.0 / 27.0, abs=1e-6)
-        assert near_symmetric(rep.argmax.q, 2.0, 0.02)
-        assert rep.slack >= -1e-9
+        # on the binomial branch the pair moves end on the binomial itself
+        for n, lam, resolution in ((3, 2.0, 0.02), (6, 4.6, 0.02), (4, 2.3, 0.01)):
+            assert finite_n_bound(lam, n).branch == "first-max-term"
+            rep = maximize_bernoulli_tail(n, lam, resolution)
+            assert max(rep.argmax.q) - min(rep.argmax.q) <= 1e-12, (n, lam)
+            assert abs(rep.slack) <= 1e-14, (n, lam)
 
     def test_small_mean_vacuous(self):
         rep = maximize_bernoulli_tail(2, 0.5, 0.05)
@@ -126,8 +136,31 @@ class TestMaximizeBernoulliTail:
         assert rep.bound_value == 1.0
 
     def test_argmax_sum_matches_target(self):
-        rep = maximize_bernoulli_tail(4, 2.3, 0.05)
-        assert abs(sum(rep.argmax.q) - 2.3) <= 1e-9
+        # max_value is the tail of the argmax it reports, bit for bit
+        for n, lam, resolution in ((2, 1.5, 0.01), (3, 2.0, 0.02), (4, 2.3, 0.05), (4, 1.2, 0.1), (5, 1.9, 0.05), (6, 4.6, 0.1)):
+            rep = maximize_bernoulli_tail(n, lam, resolution)
+            assert bernoulli_tail(rep.argmax.q) == rep.max_value, (n, lam)
+            assert abs(math.fsum(rep.argmax.q) - lam) <= 1e-12, (n, lam)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8), st.data())
+    def test_pair_identity(self, q, data):
+        # with r0, r1 = P(rest = 0), P(rest = 1) over the other coordinates,
+        # the tail is r0 + r1 (1 - s) + (r1 - r0) q_i q_j, s = q_i + q_j
+        i, j = data.draw(st.lists(st.integers(0, len(q) - 1), min_size=2, max_size=2, unique=True))
+        r0, r1 = enum_bernoulli_states([v for k, v in enumerate(q) if k not in (i, j)])
+        s = q[i] + q[j]
+        assert abs(r0 + r1 * (1.0 - s) + (r1 - r0) * q[i] * q[j] - bernoulli_tail(q)) <= 1e-15
+
+    def test_pair_moves_settle(self):
+        # means whose n-th part is not a double would make equal splits
+        # cycle in the last bit without the tie rule; no pass cap is reached
+        for n in (3, 4, 5, 6):
+            for k in range(1, 40):
+                lam = k * n / 40
+                rep = maximize_bernoulli_tail(n, lam, 0.1)
+                pairs = rep.points_evaluated - oracles._simplex_size(n, lam, 10)
+                assert pairs < oracles.MAX_PAIR_PASSES * n * (n - 1) // 2, (n, lam)
 
     def test_argmax_trichotomy_small_grid(self):
         for n in (2, 3, 4):
