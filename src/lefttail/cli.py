@@ -108,20 +108,14 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
             ok = rep.gap <= GAP_TOL
             all_passed &= ok
             lines.append(_report_line(f"tightness-{rep.branch}", ok, rep.gap, 1))
-    elif ns.target == "lemma4":
+    elif ns.target in ("lemma4", "two-point"):
         from lefttail import oracles
 
-        rep = oracles.maximize_bernoulli_tail(ns.n, ns.lam, ns.resolution)
+        search = oracles.maximize_bernoulli_tail if ns.target == "lemma4" else oracles.maximize_two_point
+        rep = search(ns.n, ns.lam, ns.resolution)
         ok = rep.slack >= -SLACK_TOL
         all_passed &= ok
-        lines.append(_report_line("lemma4", ok, max(0.0, -rep.slack), rep.points_evaluated))
-    elif ns.target == "two-point":
-        from lefttail import oracles
-
-        rep = oracles.maximize_two_point(ns.n, ns.lam, ns.resolution)
-        ok = rep.slack >= -SLACK_TOL
-        all_passed &= ok
-        lines.append(_report_line("two-point", ok, max(0.0, -rep.slack), rep.points_evaluated))
+        lines.append(_report_line(ns.target, ok, max(0.0, -rep.slack), rep.points_evaluated))
     else:  # inequalities
         from lefttail import inequalities
 

@@ -10,9 +10,10 @@ improved.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
-from lefttail.bounds import BoundQuery, _check_mean, binomial_branch, shifted_branch
+from lefttail.bounds import BoundQuery, _check_mean, _check_query, binomial_branch, shifted_branch
 
 __all__ = [
     "BinomialSpec",
@@ -48,6 +49,10 @@ class BinomialSpec(_Binomial):
     def __new__(cls, p: float, trials: int, shift: int = 0) -> BinomialSpec:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"success probability must be in [0,1], got {p}")
+        try:
+            trials = operator.index(trials)
+        except TypeError:
+            raise ValueError(f"trial count must be an integer, got {trials}") from None
         if trials < 0:
             raise ValueError(f"trial count must be non-negative, got {trials}")
         if shift not in (0, 1):
@@ -107,14 +112,13 @@ def extremal_for_branch(lam: float, n: int, branch: str) -> BinomialSpec:
 
     The returned spec has mean exactly lam.
     """
+    _check_query(lam, n)
     if branch == "first-max-term":
-        if not (0.0 <= lam <= n):
-            raise ValueError(f"first branch needs 0 <= mean <= n, got mean={lam}, n={n}")
         return BinomialSpec(p=lam / n, trials=n, shift=0)
     if branch == "second-max-term":
         if n < 2:
             raise ValueError(f"second branch needs n >= 2, got n={n}")
-        if not (1.0 <= lam <= n):
+        if lam < 1.0:
             raise ValueError(f"second branch needs 1 <= mean <= n, got mean={lam}")
         return BinomialSpec(p=(lam - 1.0) / (n - 1.0), trials=n - 1, shift=1)
     raise ValueError(f"unknown branch {branch!r}")

@@ -5,6 +5,12 @@ crossover mean below which the shifted branch dominates, monotonicity of
 the envelope in both arguments, and non-negativity of the scaled slope
 that drives the branch-growth argument.  Each check sweeps a closed-form
 inequality over a grid and reports the worst violation.
+
+Every claim is written as a generator of rows, one per summand count or
+block of means: an array of violations (a positive entry breaks the
+claim) and a map from an entry to its grid point.  One reducer,
+:func:`run_grid_check`, counts the points and keeps the worst violation
+and where it was, the same way for every claim.
 """
 
 from __future__ import annotations
@@ -124,30 +130,15 @@ def _lam_grid(lo: float, hi: float, step: float, include_hi: bool = False) -> np
     return grid
 
 
-def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> GridCheckResult:
-    """Sweep one claim over its stated (mean, n) or (x, mean) domain.
+def _at(n: int, lams: np.ndarray):
+    """Where entry i of a row at n was evaluated: n and the mean lams[i]."""
+    return lambda i: {"n": n, "lam": float(lams[i])}
 
-    Returns the worst violation found (positive = inequality broken) and
-    where it occurred; passes when the worst violation is within
-    CLOSED_FORM_TOL.
-    """
-    if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    if n_max > 500:
-        raise ValueError(f"n_max capped at 500, got {n_max}")
-    if not 1e-3 <= lambda_step < math.inf:
-        raise ValueError(f"lambda_step must be finite and >= 1e-3, got {lambda_step}")
 
-    worst = -math.inf
-    worst_point: dict = {}
-    checked = 0
-
-    def consider(violation: float, point: dict) -> None:
-        nonlocal worst, worst_point
-        if violation > worst:
-            worst = violation
-            worst_point = point
-
+def _claim_rows(claim: str, n_max: int, lambda_step: float):
+    """Yield one claim's rows ``(violations, point)``: a positive entry of
+    ``violations`` breaks the claim, and ``point(i)`` says where entry i
+    (a flat index) was evaluated.  A row may be empty."""
     mono_n = {
         "F-mono-n": (_binomial_term, SLOPE_THRESHOLD, 2, False),
         "G-mono-n": (_shifted_term, 0.0, 2, False),
@@ -163,61 +154,65 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
         for n in range(n_lo, n_max):
             next_lams = _lam_grid(lo, float(n + 1), lambda_step, include_hi)
             next_row = term(next_lams, n + 1)
-            diff = row - next_row[: lams.size]
-            checked += lams.size
-            idx = int(np.argmax(diff))
-            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
+            yield row - next_row[: lams.size], _at(n, lams)
             lams, row = next_lams, next_row
 
     elif claim == "FG-order":
+        # the order is claimed on the same means (1, 2/sqrt(3)) at every n
+        lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step)
         for n in range(2, n_max + 1):
-            lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step, include_hi=False)
-            if lams.size == 0:
-                continue
-            diff = _binomial_term(lams, n) - _shifted_term(lams, n)
-            checked += lams.size
-            idx = int(np.argmax(diff))
-            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
+            yield _binomial_term(lams, n) - _shifted_term(lams, n), _at(n, lams)
 
     elif claim == "H-mono-lambda":
         for n in range(1, n_max + 1):
             lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
             vals = _envelope_values(lams, n)
-            diff = vals[1:] - vals[:-1]
-            checked += lams.size - 1
-            idx = int(np.argmax(diff))
-            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx + 1])})
+            yield vals[1:] - vals[:-1], _at(n, lams[1:])
 
     elif claim == "u-nonneg":
         xs = np.arange(1, 1001) / 1000.0
         lams = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True)
         # a block of 64 means at a time: one (64, 1000) array, about 0.5 MB
         for a in range(0, lams.size, 64):
-            u = _slope_term(xs, lams[a : a + 64, None])
-            checked += u.size
-            i, j = divmod(int(np.argmin(u)), xs.size)
-            consider(float(-u[i, j]), {"lam": float(lams[a + i]), "x": float(xs[j])})
+            block = lams[a : a + 64]
+            yield -_slope_term(xs, block[:, None]), (
+                lambda k, block=block: {"lam": float(block[k // xs.size]), "x": float(xs[k % xs.size])}
+            )
 
-    elif claim == "crossover-consistency":
+    else:  # crossover-consistency: the shifted branch dominates exactly up to the threshold
         for n in range(2, n_max + 1):
             lams = _lam_grid(1.0 + lambda_step, float(n), lambda_step)
-            if lams.size == 0:
-                continue
             gap = _shifted_term(lams, n) - _binomial_term(lams, n)
-            threshold = crossover_threshold(n)
+            size = np.abs(gap)
             lhs = gap >= -CLOSED_FORM_TOL
-            rhs = (threshold - lams) >= -CLOSED_FORM_TOL
-            mismatch = (lhs != rhs) & (np.abs(gap) > CLOSED_FORM_TOL)
-            checked += lams.size
-            if mismatch.any():
-                bad = np.where(mismatch, np.abs(gap), -np.inf)
-                idx = int(np.argmax(bad))
-                consider(float(bad[idx]), {"n": n, "lam": float(lams[idx])})
-            else:
-                consider(0.0, {"n": n, "lam": float(lams[0])})
+            rhs = (crossover_threshold(n) - lams) >= -CLOSED_FORM_TOL
+            yield np.where((lhs != rhs) & (size > CLOSED_FORM_TOL), size, 0.0), _at(n, lams)
 
-    if worst == -math.inf:
-        worst = 0.0
+
+def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> GridCheckResult:
+    """Sweep one claim over its stated (mean, n) or (x, mean) domain.
+
+    Returns the worst violation found (positive = inequality broken) and
+    where it occurred; passes when the worst violation is within
+    CLOSED_FORM_TOL.  The first non-empty row seeds the worst violation
+    and only a strictly larger one replaces it; a claim without any grid
+    point reports 0.0 at ``{}``.
+    """
+    if claim not in CLAIMS:
+        raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+    if n_max > 500:
+        raise ValueError(f"n_max capped at 500, got {n_max}")
+    if not 1e-3 <= lambda_step < math.inf:
+        raise ValueError(f"lambda_step must be finite and >= 1e-3, got {lambda_step}")
+
+    worst, worst_point, checked = 0.0, {}, 0
+    for violations, point in _claim_rows(claim, n_max, lambda_step):
+        if violations.size:
+            idx = int(np.argmax(violations))
+            value = float(violations.flat[idx])
+            if not checked or value > worst:
+                worst, worst_point = value, point(idx)
+            checked += violations.size
     return GridCheckResult(
         claim=claim,
         passed=worst <= CLOSED_FORM_TOL,

@@ -326,12 +326,15 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     at fixed mean.
 
     Searches {q in [0,1]^n : sum q = lam} at the given grid resolution,
-    refines the best grid row with :func:`_pair_moves` and compares the
-    maximum against the finite-n bound.  ``max_value`` is the tail of the
-    returned argmax: the refined point, or the grid row should rounding
-    leave that higher.  The slack should never be meaningfully negative;
-    the argmax is expected to have its interior coordinates equal, with
-    the others at 0 or 1.
+    runs :func:`_pair_moves` from the best grid row and from the symmetric
+    point (lam/n, ..., lam/n), and compares the maximum against the
+    finite-n bound.  The second start reaches the binomial extremal where
+    every grid row has two coordinates at 1, so that every row's tail and
+    every pair's states are 0 and no move is made.  ``max_value`` is the
+    tail of the returned argmax: the best of the two moved points and the
+    grid row, which rounding can leave higher.  The slack should never be
+    meaningfully negative; the argmax is expected to have its interior
+    coordinates equal, with the others at 0 or 1.
     """
     _check_query(lam, n)
     if not 2 <= n <= 6:
@@ -349,11 +352,12 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
         i = int(np.argmax(tails))
         if tails[i] > best_tail:
             best_tail, best_row = float(tails[i]), [float(q[i]) for q in columns]
-    q = list(best_row)
-    moves = _pair_moves(q)
-    max_value = bernoulli_tail(q)
-    if max_value < best_tail:
-        q, max_value = best_row, best_tail
+    moved, symmetric = list(best_row), [lam / n] * n
+    moves = _pair_moves(moved) + _pair_moves(symmetric)
+    # the first of equal tails wins: the grid row only where the moves left
+    # it strictly lower, the symmetric start only where strictly higher
+    candidates = ((bernoulli_tail(moved), moved), (best_tail, best_row), (bernoulli_tail(symmetric), symmetric))
+    max_value, q = max(candidates, key=lambda c: c[0])
     bound = finite_n_bound(lam, n).value
     return SearchReport(
         max_value=max_value,

@@ -113,14 +113,23 @@ def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
 
 def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float, dict, int]:
     """``(worst_violation, worst_point, points_checked)`` of one grid claim,
-    evaluating both rows of every n afresh and u-nonneg one mean at a time.
+    by the grid checks' earlier loops: one per claim, each reducing its own
+    rows.
 
-    This is the grid checks' earlier loop structure for F-mono-n,
-    G-mono-n, H-mono-n and u-nonneg, kept as the reference for the version
-    that evaluates each row once and u-nonneg in blocks of means.
+    F-mono-n, G-mono-n and H-mono-n evaluate both rows of every n afresh,
+    u-nonneg goes one mean at a time, and FG-order builds its mean grid at
+    every n.  This is the reference for the version that evaluates each row
+    once, takes u-nonneg in blocks of means and reduces every claim's rows
+    in one loop.
     """
     from lefttail.bounds import _binomial_term, _envelope_values, _shifted_term
-    from lefttail.inequalities import SLOPE_THRESHOLD, _lam_grid, _slope_term
+    from lefttail.inequalities import (
+        CLOSED_FORM_TOL,
+        SLOPE_THRESHOLD,
+        _lam_grid,
+        _slope_term,
+        crossover_threshold,
+    )
 
     worst, worst_point, checked = -math.inf, {}, 0
 
@@ -136,6 +145,40 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             checked += xs.size
             idx = int(np.argmin(u))
             consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})
+    elif claim == "FG-order":
+        for n in range(2, n_max + 1):
+            lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step, include_hi=False)
+            if lams.size == 0:
+                continue
+            diff = _binomial_term(lams, n) - _shifted_term(lams, n)
+            checked += lams.size
+            idx = int(np.argmax(diff))
+            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
+    elif claim == "H-mono-lambda":
+        for n in range(1, n_max + 1):
+            lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
+            vals = _envelope_values(lams, n)
+            diff = vals[1:] - vals[:-1]
+            checked += lams.size - 1
+            idx = int(np.argmax(diff))
+            consider(float(diff[idx]), {"n": n, "lam": float(lams[idx + 1])})
+    elif claim == "crossover-consistency":
+        for n in range(2, n_max + 1):
+            lams = _lam_grid(1.0 + lambda_step, float(n), lambda_step)
+            if lams.size == 0:
+                continue
+            gap = _shifted_term(lams, n) - _binomial_term(lams, n)
+            threshold = crossover_threshold(n)
+            lhs = gap >= -CLOSED_FORM_TOL
+            rhs = (threshold - lams) >= -CLOSED_FORM_TOL
+            mismatch = (lhs != rhs) & (np.abs(gap) > CLOSED_FORM_TOL)
+            checked += lams.size
+            if mismatch.any():
+                bad = np.where(mismatch, np.abs(gap), -np.inf)
+                idx = int(np.argmax(bad))
+                consider(float(bad[idx]), {"n": n, "lam": float(lams[idx])})
+            else:
+                consider(0.0, {"n": n, "lam": float(lams[0])})
     else:
         term, lo, n_lo, include_hi = {
             "F-mono-n": (_binomial_term, SLOPE_THRESHOLD, 2, False),

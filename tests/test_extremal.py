@@ -76,6 +76,10 @@ class TestBinomialPmf:
             BinomialSpec(0.5, -1)
         with pytest.raises(ValueError):
             BinomialSpec(0.5, 4, shift=2)
+        for trials in (4.5, 4.0, math.inf, math.nan, None):
+            with pytest.raises(ValueError):
+                BinomialSpec(0.5, trials)
+        assert BinomialSpec(0.5, np.int64(4)) == BinomialSpec(0.5, 4)
 
 
 class TestTailAtMostOne:
@@ -120,6 +124,10 @@ class TestExtremalForBranch:
             extremal_for_branch(1.5, 1, "second-max-term")
         with pytest.raises(ValueError):
             extremal_for_branch(1.5, 4, "no-such-branch")
+        for branch in ("first-max-term", "second-max-term"):
+            for lam, n in ((2.0, 4.5), (2.0, math.inf), (2.0, 4.0), (math.nan, 4), (math.inf, 4), (-1.0, 4), (4.5, 4)):
+                with pytest.raises(ValueError):
+                    extremal_for_branch(lam, n, branch)
 
 
 class TestTightness:

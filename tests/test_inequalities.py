@@ -16,6 +16,7 @@ from lefttail.bounds import (
     finite_n_bound,
     shifted_branch,
 )
+from lefttail import inequalities
 from lefttail.extremal import poisson_tail_at_most_one
 from lefttail.inequalities import (
     CLAIMS,
@@ -216,9 +217,12 @@ class TestGridChecks:
                 run_grid_check("F-mono-n", lambda_step=step)
 
     # (2, 0.5) and (1, 0.5) leave F-mono-n and G-mono-n without a single row;
-    # (3, 0.001) gives u-nonneg a last block of 54 means
-    @pytest.mark.parametrize("n_max, step", [(100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5)])
-    @pytest.mark.parametrize("claim", ["F-mono-n", "G-mono-n", "H-mono-n", "u-nonneg"])
+    # (3, 0.001) gives u-nonneg a last block of 54 means; at (40, 0.16)
+    # FG-order has no grid points
+    @pytest.mark.parametrize(
+        "n_max, step", [(100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5), (40, 0.16)]
+    )
+    @pytest.mark.parametrize("claim", CLAIMS)
     def test_matches_per_n_loops(self, claim, n_max, step):
         res = run_grid_check(claim, n_max, step)
         worst, point, checked = per_n_grid_check(claim, n_max, step)
@@ -229,3 +233,25 @@ class TestGridChecks:
         results = run_all_checks(n_max=10, lambda_step=0.05)
         assert tuple(r.claim for r in results) == CLAIMS
         assert all(r.passed for r in results)
+
+    def test_run_all_calls_the_module_attribute(self, monkeypatch):
+        # the traced benchmark times each claim by replacing this attribute
+        calls = []
+        original = inequalities.run_grid_check
+
+        def recorder(claim, *args, **kwargs):
+            calls.append(claim)
+            return original(claim, *args, **kwargs)
+
+        monkeypatch.setattr(inequalities, "run_grid_check", recorder)
+        results = inequalities.run_all_checks(n_max=5, lambda_step=0.1)
+        assert tuple(calls) == CLAIMS
+        assert tuple(r.claim for r in results) == CLAIMS
+
+    def test_rows_without_points_are_skipped(self):
+        # a step above 1 leaves H-mono-lambda no pair of means at n = 1;
+        # n = 2..5 give 1, 2, 2 and 3 differences
+        res = run_grid_check("H-mono-lambda", n_max=5, lambda_step=1.5)
+        assert res.passed
+        assert res.points_checked == 8
+        assert res.worst_point["n"] >= 2

@@ -130,6 +130,14 @@ class TestMaximizeBernoulliTail:
             assert max(rep.argmax.q) - min(rep.argmax.q) <= 1e-12, (n, lam)
             assert abs(rep.slack) <= 1e-14, (n, lam)
 
+    def test_zero_plateau(self):
+        # every grid row has two coordinates at 1, so every row's tail is 0
+        # and no pair moves; the symmetric start reaches the binomial
+        for n, lam, resolution in ((5, 4.75, 0.1), (5, 4.875, 0.1), (5, 4.875, 0.05), (6, 5.7, 0.1), (6, 5.85, 0.1), (6, 5.85, 0.05)):
+            rep = maximize_bernoulli_tail(n, lam, resolution)
+            assert abs(rep.max_value - finite_n_bound(lam, n).value) <= 1e-14, (n, lam, resolution)
+            assert bernoulli_tail(rep.argmax.q) == rep.max_value
+
     def test_small_mean_vacuous(self):
         rep = maximize_bernoulli_tail(2, 0.5, 0.05)
         assert rep.max_value == pytest.approx(1.0, abs=1e-12)
