@@ -79,6 +79,12 @@ def _check_query(lam: float, n: int) -> None:
         raise ValueError(f"mean {lam} exceeds n={n}; a sum of n variables in [0,1] cannot have a larger mean")
 
 
+def _check_shifted_domain(lam: float, n: int) -> None:
+    """Reject n < 2 and a mean below 1, where the shifted branch is not stated."""
+    if n < 2 or lam < 1.0:
+        raise ValueError(f"shifted branch needs n >= 2 and 1 <= mean <= n, got mean {lam} at n={n}")
+
+
 class _Query(NamedTuple):
     lam: float
     n: int
@@ -179,10 +185,7 @@ def shifted_branch(lam: float, n: int) -> float:
     denominator and is handled by the envelope directly).
     """
     _check_query(lam, n)
-    if n < 2:
-        raise ValueError(f"shifted branch needs n >= 2, got n={n}")
-    if lam < 1.0:
-        raise ValueError(f"shifted branch needs 1 <= mean <= n, got {lam}")
+    _check_shifted_domain(lam, n)
     return _shifted_term(lam, n)
 
 
@@ -205,18 +208,21 @@ def finite_n_bound(lam: float, n: int) -> BoundResult:
 
 
 def _envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
-    """The values of :func:`finite_n_bound` over an array of means in [0, n]."""
+    """The values of :func:`finite_n_bound` over an array of means in [0, n]:
+    for n >= 2 the larger branch clamped to 1, as the shifted branch is at
+    least 1 up to mean 1, both are 0 at mean n and below 1 in between.
+    Means are capped at n, where a grid's last point may overshoot it."""
     import numpy as np
 
-    out = np.ones_like(lams)
     if n == 1:
-        return out
-    out[lams >= n] = 0.0
-    mid = (lams > 1.0) & (lams < n)
-    if mid.any():
-        sub = lams[mid]
-        out[mid] = np.maximum(_binomial_term(sub, n), _shifted_term(sub, n))
-    return out
+        return np.ones_like(lams)
+    m = np.minimum(lams, n)
+    return np.minimum(1.0, np.maximum(_binomial_term(m, n), _shifted_term(m, n)))
+
+
+def _poisson_term(lam: float) -> float:
+    # P(X <= 1) for X ~ Poisson(lam), the large-n limit of the first branch; unchecked
+    return (1.0 + lam) * math.exp(-lam)
 
 
 def limit_bound(lam: float) -> BoundResult:
@@ -226,9 +232,8 @@ def limit_bound(lam: float) -> BoundResult:
     e^(1 - lam); they cross at lam = e - 1 (tie reports first-max-term).
     """
     _check_mean(lam)
-    one_plus = 1.0 + lam
-    if one_plus >= math.e:
-        raw = one_plus * math.exp(-lam)
+    if 1.0 + lam >= math.e:
+        raw = _poisson_term(lam)
         branch = "first-max-term"
     else:
         raw = math.exp(1.0 - lam)
@@ -271,6 +276,7 @@ def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
         p = 1.0 - lam / n
         if p == 0.0:
             raise ValueError("simplified form needs mean < n (p = 0 at mean = n)")
+        # not (e/p) * _poisson_term(lam), which moves a third of the values by an ulp
         raw = (math.e / p) * (1.0 + lam) * math.exp(-lam)
         method = "bentkus-simple"
     else:
@@ -303,27 +309,26 @@ def solve_decay_rate(tol: float = 1e-12) -> DecayConstants:
     return DecayConstants(a0=a, r=1.0 - a, iterations=iterations, residual=residual)
 
 
-def exponential_bound(lam: float, constants: DecayConstants | None = None) -> BoundResult:
-    """Purely exponential bound exp(1 - r * lam), clamped to 1.
+_DECAY_RATE = solve_decay_rate(1e-12).r
 
-    ``constants`` defaults to a fresh solve at tolerance 1e-12.
-    """
+
+def exponential_bound(lam: float) -> BoundResult:
+    """Purely exponential bound exp(1 - r * lam), clamped to 1, where r is
+    the decay rate :func:`solve_decay_rate` gives at tolerance 1e-12."""
     _check_mean(lam)
-    if constants is None:
-        constants = solve_decay_rate(1e-12)
-    raw = math.exp(1.0 - constants.r * lam)
+    raw = math.exp(1.0 - _DECAY_RATE * lam)
     return BoundResult(min(1.0, raw), "corollary1", "not-applicable", raw > 1.0, raw)
 
 
 class Method(NamedTuple):
     """A bound the CLI evaluates by name.
 
-    ``evaluate(lam, n, constants)`` ignores the arguments its bound does
-    not take, and ``stated(lam, n)`` says whether the bound is stated at
-    that mean (a comparison table leaves the cell blank where it is not).
+    ``evaluate(lam, n)`` ignores n when its bound does not take it, and
+    ``stated(lam, n)`` says whether the bound is stated at that mean (a
+    comparison table leaves the cell blank where it is not).
     """
 
-    evaluate: Callable[[float, int, DecayConstants | None], BoundResult]
+    evaluate: Callable[[float, int], BoundResult]
     stated: Callable[[float, int], bool]
 
 
@@ -335,10 +340,10 @@ def _everywhere(lam: float, n: int) -> bool:
 #: entry looks its function up in this module when called, so that a
 #: replaced module attribute (a tracing wrapper, say) sees registry calls.
 METHODS = {
-    "theorem1": Method(lambda lam, n, c: finite_n_bound(lam, n), _everywhere),
-    "theorem1-limit": Method(lambda lam, n, c: limit_bound(lam), _everywhere),
-    "hoeffding": Method(lambda lam, n, c: hoeffding_bound(lam, n), lambda lam, n: lam >= 1.0),
-    "bentkus": Method(lambda lam, n, c: bentkus_bound(lam, n), _everywhere),
-    "bentkus-simple": Method(lambda lam, n, c: bentkus_bound(lam, n, simplified=True), lambda lam, n: lam < n),
-    "corollary1": Method(lambda lam, n, c: exponential_bound(lam, c), _everywhere),
+    "theorem1": Method(lambda lam, n: finite_n_bound(lam, n), _everywhere),
+    "theorem1-limit": Method(lambda lam, n: limit_bound(lam), _everywhere),
+    "hoeffding": Method(lambda lam, n: hoeffding_bound(lam, n), lambda lam, n: lam >= 1.0),
+    "bentkus": Method(lambda lam, n: bentkus_bound(lam, n), _everywhere),
+    "bentkus-simple": Method(lambda lam, n: bentkus_bound(lam, n, simplified=True), lambda lam, n: lam < n),
+    "corollary1": Method(lambda lam, n: exponential_bound(lam), _everywhere),
 }

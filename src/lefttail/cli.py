@@ -49,7 +49,7 @@ def _bool(flag: bool) -> str:
 
 
 def _cmd_bound(ns: argparse.Namespace) -> int:
-    res = METHODS[ns.method].evaluate(ns.lam, ns.n, None)
+    res = METHODS[ns.method].evaluate(ns.lam, ns.n)
     print(f"{format_value(res.value, ns.precision)},{res.branch},{_bool(res.clamped)}")
     return 0
 
@@ -64,7 +64,6 @@ def _compare_lines(ns: argparse.Namespace):
     count = int((ns.lambda_max - ns.lambda_min) / ns.step + 1e-9)
     if count >= MAX_COMPARE_ROWS:
         raise ValueError(f"--step {ns.step} gives {count + 1} rows, over the budget of {MAX_COMPARE_ROWS}")
-    constants = solve_decay_rate(1e-12)
     pick = (lambda r: r.raw) if ns.raw else (lambda r: r.value)
     yield ",".join(["lambda", "n", *(name.replace("-", "_") for name in METHODS)])
     for k in range(count + 1):
@@ -74,7 +73,7 @@ def _compare_lines(ns: argparse.Namespace):
         lam = min(lam, float(n))
         fields = [format_value(lam, ns.precision), str(n)]
         fields += [
-            format_value(pick(m.evaluate(lam, n, constants)), ns.precision) if m.stated(lam, n) else ""
+            format_value(pick(m.evaluate(lam, n)), ns.precision) if m.stated(lam, n) else ""
             for m in METHODS.values()
         ]
         yield ",".join(fields)

@@ -13,7 +13,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from lefttail.bounds import BoundQuery, _check_mean, _check_query, binomial_branch, shifted_branch
+from lefttail.bounds import BoundQuery, _check_mean, _check_query, _check_shifted_domain, _poisson_term
+from lefttail.bounds import binomial_branch, shifted_branch
 
 __all__ = [
     "BinomialSpec",
@@ -116,10 +117,7 @@ def extremal_for_branch(lam: float, n: int, branch: str) -> BinomialSpec:
     if branch == "first-max-term":
         return BinomialSpec(p=lam / n, trials=n, shift=0)
     if branch == "second-max-term":
-        if n < 2:
-            raise ValueError(f"second branch needs n >= 2, got n={n}")
-        if lam < 1.0:
-            raise ValueError(f"second branch needs 1 <= mean <= n, got mean={lam}")
+        _check_shifted_domain(lam, n)
         return BinomialSpec(p=(lam - 1.0) / (n - 1.0), trials=n - 1, shift=1)
     raise ValueError(f"unknown branch {branch!r}")
 
@@ -151,7 +149,7 @@ def verify_tightness(lam: float, n: int) -> list[TightnessReport]:
 def poisson_tail_at_most_one(lam: float) -> float:
     """P(X <= 1) = (1 + lam) e^-lam for X ~ Poisson(lam)."""
     _check_mean(lam)
-    return (1.0 + lam) * math.exp(-lam)
+    return _poisson_term(lam)
 
 
 def poisson_limit_gap(lam: float, n: int) -> float:

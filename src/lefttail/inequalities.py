@@ -64,6 +64,15 @@ class GridCheckResult:
     points_checked: int
 
 
+def _check_slope_domain(x: float, lam: float) -> None:
+    """Reject x outside (0, 1] and a mean that is not finite and positive."""
+    if not 0.0 < x <= 1.0:
+        raise ValueError(f"x must be in (0,1], got {x}")
+    _check_mean(lam)
+    if lam == 0:
+        raise ValueError(f"mean must be positive, got {lam}")
+
+
 def log_binomial_branch(x: float, lam: float) -> float:
     """Log of the binomial branch in terms of the failure probability x.
 
@@ -71,10 +80,9 @@ def log_binomial_branch(x: float, lam: float) -> float:
     lam*log(x)/(1-x) + log(1 + lam/x), the log of the first branch;
     increasing in x means increasing in n at fixed mean.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must be in (0,1), got {x}")
-    if lam <= 0:
-        raise ValueError(f"mean must be positive, got {lam}")
+    _check_slope_domain(x, lam)
+    if x == 1.0:
+        raise ValueError("x must be in (0,1), got 1.0")
     return lam * math.log(x) / (1.0 - x) + math.log(1.0 + lam / x)
 
 
@@ -84,11 +92,7 @@ def scaled_slope(x: float, lam: float) -> float:
     Equals log(x) + (1-x)/x - (1-x)^2/(x(x+lam)); zero at x = 1, and
     non-negative on (0, 1] whenever lam >= SLOPE_THRESHOLD.
     """
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x must be in (0,1], got {x}")
-    _check_mean(lam)
-    if lam == 0:
-        raise ValueError(f"mean must be positive, got {lam}")
+    _check_slope_domain(x, lam)
     return _slope_term(x, lam)
 
 
@@ -100,13 +104,18 @@ def _slope_term(x, lam: float):
 
 def slope_quadratic(x: float, lam: float) -> float:
     """x^2 + (lam-2)x + lam^2 - lam, the sign-carrying factor of the slope
-    gradient; its minimum over x is (3*lam^2 - 4)/4 at x = (2-lam)/2."""
+    gradient, for a finite x and a finite non-negative mean; its minimum
+    over x is (3*lam^2 - 4)/4 at x = (2-lam)/2."""
+    if not -math.inf < x < math.inf:
+        raise ValueError(f"x must be finite, got {x}")
+    _check_mean(lam)
     return x * x + (lam - 2.0) * x + lam * lam - lam
 
 
 def slope_gradient(x: float, lam: float) -> float:
     """Closed-form x-derivative of :func:`scaled_slope`:
-    (x-1) * slope_quadratic / (x^2 (x+lam)^2)."""
+    (x-1) * slope_quadratic / (x^2 (x+lam)^2), on the same domain."""
+    _check_slope_domain(x, lam)
     return (x - 1.0) * slope_quadratic(x, lam) / (x * x * (x + lam) ** 2)
 
 
@@ -193,13 +202,14 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
     """Sweep one claim over its stated (mean, n) or (x, mean) domain.
 
     Returns the worst violation found (positive = inequality broken) and
-    where it occurred; passes when the worst violation is within
-    CLOSED_FORM_TOL.  The first non-empty row seeds the worst violation
-    and only a strictly larger one replaces it; a claim without any grid
-    point reports 0.0 at ``{}``.
+    where it occurred; passes when at least one point was checked and the
+    worst violation is within CLOSED_FORM_TOL.  The first non-empty row
+    seeds the worst violation and only a strictly larger one replaces it;
+    a claim without any grid point reports 0.0 at ``{}`` and fails.
     """
     if claim not in CLAIMS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
+    _check_n(n_max)
     if n_max > 500:
         raise ValueError(f"n_max capped at 500, got {n_max}")
     if not 1e-3 <= lambda_step < math.inf:
@@ -215,7 +225,7 @@ def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> G
             checked += violations.size
     return GridCheckResult(
         claim=claim,
-        passed=worst <= CLOSED_FORM_TOL,
+        passed=checked > 0 and worst <= CLOSED_FORM_TOL,
         worst_violation=worst,
         worst_point=worst_point,
         points_checked=checked,

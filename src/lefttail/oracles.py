@@ -10,6 +10,7 @@ respect the bound empirically (seeded Monte Carlo).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -77,7 +78,7 @@ class SimplexPoint:
         for v in self.q:
             if not -1e-12 <= v <= 1.0 + 1e-12:
                 raise ValueError(f"means must lie in [0,1], got {v}")
-        if abs(sum(self.q) - self.target_sum) > 1e-9:
+        if not abs(sum(self.q) - self.target_sum) <= 1e-9:  # also true for NaN
             raise ValueError(f"means sum to {sum(self.q)}, expected {self.target_sum}")
 
 
@@ -397,11 +398,6 @@ def _atoms_tail(atoms: Sequence[tuple[Sequence[float], Sequence[float]]]) -> flo
     return float(probs.sum())
 
 
-def two_point_mean(summands: Sequence[TwoPoint]) -> float:
-    """Mean of the sum: sum of low_i + prob_high_i * (high_i - low_i)."""
-    return sum(s.mean() for s in summands)
-
-
 def _two_point_options(denom: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The distinct grid summands ``(low, high, prob_high)`` and their means,
     sorted by mean.
@@ -498,6 +494,9 @@ def spec_mean(specs: Sequence[DistSpec]) -> float:
     return sum(s.mean() for s in specs)
 
 
+two_point_mean = spec_mean
+
+
 def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEstimate:
     """Seeded empirical estimate of P(sum <= 1) with a 3-sigma half-width.
 
@@ -509,6 +508,10 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
     """
     if len(specs) == 0:
         raise ValueError("need at least one distribution spec")
+    try:
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"trials and seed must be integers, got {trials} and {seed}") from None
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -1,10 +1,12 @@
 """Independent brute-force oracles used to derive expected test values.
 
 Everything here enumerates outcomes directly (no shared code with the
-package), so agreement is meaningful evidence of correctness.  The one
-exception is :func:`per_n_grid_check`, which keeps the grid checks' earlier
-loop structure over the package's own kernels, so that the two can be
-compared bit for bit.
+package), so agreement is meaningful evidence of correctness.  The
+exceptions are :func:`masked_envelope_values`, the envelope's earlier
+piecewise kernel over the package's branch terms, and
+:func:`per_n_grid_check`, which keeps the grid checks' earlier loop
+structure over the package's own kernels, so that each can be compared bit
+for bit with its replacement.
 """
 
 from __future__ import annotations
@@ -111,6 +113,23 @@ def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+def masked_envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
+    """The finite-n envelope over an array of means by its piece rule: 1 up
+    to mean 1, 0 from mean n on, and the larger branch in between.  This is
+    the envelope kernel's earlier masked form, kept as its reference."""
+    from lefttail.bounds import _binomial_term, _shifted_term
+
+    out = np.ones_like(lams)
+    if n == 1:
+        return out
+    out[lams >= n] = 0.0
+    mid = (lams > 1.0) & (lams < n)
+    if mid.any():
+        sub = lams[mid]
+        out[mid] = np.maximum(_binomial_term(sub, n), _shifted_term(sub, n))
+    return out
+
+
 def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float, dict, int]:
     """``(worst_violation, worst_point, points_checked)`` of one grid claim,
     by the grid checks' earlier loops: one per claim, each reducing its own
@@ -120,9 +139,10 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
     u-nonneg goes one mean at a time, and FG-order builds its mean grid at
     every n.  This is the reference for the version that evaluates each row
     once, takes u-nonneg in blocks of means and reduces every claim's rows
-    in one loop.
+    in one loop.  H-mono-n and H-mono-lambda evaluate the envelope by
+    :func:`masked_envelope_values`.
     """
-    from lefttail.bounds import _binomial_term, _envelope_values, _shifted_term
+    from lefttail.bounds import _binomial_term, _shifted_term
     from lefttail.inequalities import (
         CLOSED_FORM_TOL,
         SLOPE_THRESHOLD,
@@ -157,7 +177,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
     elif claim == "H-mono-lambda":
         for n in range(1, n_max + 1):
             lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
-            vals = _envelope_values(lams, n)
+            vals = masked_envelope_values(lams, n)
             diff = vals[1:] - vals[:-1]
             checked += lams.size - 1
             idx = int(np.argmax(diff))
@@ -183,7 +203,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
         term, lo, n_lo, include_hi = {
             "F-mono-n": (_binomial_term, SLOPE_THRESHOLD, 2, False),
             "G-mono-n": (_shifted_term, 0.0, 2, False),
-            "H-mono-n": (_envelope_values, 0.0, 1, True),
+            "H-mono-n": (masked_envelope_values, 0.0, 1, True),
         }[claim]
         for n in range(n_lo, n_max):
             lams = _lam_grid(lo, float(n), lambda_step, include_hi)

@@ -175,10 +175,9 @@ def test_criterion_09_monte_carlo():
 
 def test_criterion_10_exponential_rate_improvement():
     with criterion("criterion 10 exponential-rate improvement"):
-        constants = solve_decay_rate(1e-12)
         for hundredth in range(0, 5001):
             lam = hundredth / 100.0
             assert (
-                exponential_bound(lam, constants).value
+                exponential_bound(lam).value
                 <= hoeffding_exponential(lam) + 1e-12
             ), lam

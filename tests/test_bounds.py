@@ -213,12 +213,12 @@ class TestExponentialBound:
 
     def test_unit_exponent(self):
         c = solve_decay_rate(1e-12)
-        assert exponential_bound(1.0 / c.r, c).value == pytest.approx(1.0, abs=1e-12)
+        assert exponential_bound(1.0 / c.r).value == pytest.approx(1.0, abs=1e-12)
 
     def test_direct_value(self):
         c = solve_decay_rate(1e-12)
         expected = math.exp(1.0 - 2.0 * c.r)
-        assert exponential_bound(2.0, c).value == pytest.approx(expected, rel=1e-15)
+        assert exponential_bound(2.0).value == pytest.approx(expected, rel=1e-15)
         assert expected == pytest.approx(0.505195, abs=5e-7)
 
     def test_negative_mean_rejected(self):
@@ -252,16 +252,14 @@ class TestOrderingInvariants:
                 assert finite_n_bound(lam, n).value <= limits[k] + 1e-12
 
     def test_limit_below_exponential(self):
-        c = solve_decay_rate(1e-12)
         for k in range(0, 3001):
             lam = k / 100.0
-            assert limit_bound(lam).value <= exponential_bound(lam, c).value + 1e-12
+            assert limit_bound(lam).value <= exponential_bound(lam).value + 1e-12
 
     def test_exponential_below_hoeffding_exponential(self):
-        c = solve_decay_rate(1e-12)
         for k in range(0, 3001):
             lam = k / 100.0
-            assert exponential_bound(lam, c).value <= hoeffding_exponential(lam) + 1e-12
+            assert exponential_bound(lam).value <= hoeffding_exponential(lam) + 1e-12
 
     def test_simplified_bentkus_factor_e(self):
         # raw ratio >= e for all means from the crossover up

@@ -284,6 +284,19 @@ class TestVerifyCommand:
         assert len(lines) == 7
         assert all(line.split(",")[1] == "true" for line in lines)
 
+    def test_inequalities_claim_without_points_fails(self):
+        # at this step FG-order's mean grid (1, 2/sqrt(3)) is empty
+        proc = run_cli("verify", "inequalities", "--n-max", "12", "--lambda-step", "0.7")
+        assert proc.returncode == 1
+        assert "FG-order,false,0.000000e+00,0" in proc.stdout.split("\n")
+        assert sum(line.split(",")[1] == "false" for line in proc.stdout.strip().split("\n")) == 1
+
+    def test_inequalities_bad_n_max_exits_2(self):
+        for n_max in ("0", "-3"):
+            proc = run_cli("verify", "inequalities", "--n-max", n_max)
+            assert proc.returncode == 2 and proc.stdout == "", n_max
+            assert proc.stderr.startswith("error: n must be a positive integer")
+
     def test_unknown_target_exits_2(self):
         proc = run_cli("verify", "everything")
         assert proc.returncode == 2

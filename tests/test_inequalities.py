@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle_utils import central_difference, per_n_grid_check
+from oracle_utils import central_difference, masked_envelope_values, per_n_grid_check
 
 from lefttail.bounds import (
     _binomial_term,
@@ -61,7 +61,7 @@ class TestLogBinomialBranch:
                 )
 
     def test_domain_errors(self):
-        for x, lam in [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0)]:
+        for x, lam in [(0.0, 1.0), (1.0, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)]:
             with pytest.raises(ValueError):
                 log_binomial_branch(x, lam)
 
@@ -88,6 +88,16 @@ class TestScaledSlope:
         for lam in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 scaled_slope(0.5, lam)
+        for form, x, lam in [
+            (slope_gradient, 0.5, math.nan),
+            (slope_gradient, 0.0, 1.0),
+            (slope_gradient, 1.5, 1.0),
+            (slope_quadratic, math.nan, 1.0),
+            (slope_quadratic, math.inf, 1.0),
+            (slope_quadratic, 0.5, -1.0),
+        ]:
+            with pytest.raises(ValueError):
+                form(x, lam)
 
     def test_gradient_matches_finite_difference(self):
         for lam in (1.2, SLOPE_THRESHOLD, 2.5, 5.0):
@@ -205,6 +215,20 @@ class TestGridChecks:
         assert _envelope_values(np.array([2.0]), 4)[0] == pytest.approx(0.3125, abs=1e-12)
         assert _envelope_values(np.array([4.0]), 4)[0] == 0.0
 
+    def test_envelope_matches_masked_reference(self):
+        for n in range(1, 61):
+            for step in (0.01, 0.003, 0.017):
+                lams = inequalities._lam_grid(0.0, float(n), step, include_hi=True)
+                got, want = _envelope_values(lams, n), masked_envelope_values(lams, n)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, step)
+
+    def test_envelope_at_a_grid_point_past_n(self):
+        # the reference comparison above covers this grid, whose last point
+        # overshoots n; there the uncapped branches are NaN
+        lams = inequalities._lam_grid(0.0, 51.0, 0.017, include_hi=True)
+        assert lams[-1] > 51.0
+        assert _envelope_values(lams, 51)[-1] == 0.0
+
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):
             run_grid_check("no-such-claim")
@@ -215,6 +239,20 @@ class TestGridChecks:
         for step in (1e-5, math.nan, math.inf):
             with pytest.raises(ValueError):
                 run_grid_check("F-mono-n", lambda_step=step)
+
+    @pytest.mark.parametrize("claim", CLAIMS)
+    def test_rejects_n_max_that_is_not_a_positive_integer(self, claim):
+        for n_max in (0, -5, 2.5, None):
+            with pytest.raises(ValueError):
+                run_grid_check(claim, n_max)
+
+    def test_claim_without_points_fails(self):
+        # at (12, 0.7) and (40, 0.16) FG-order has no grid point; at n_max 1
+        # neither do F-mono-n and G-mono-n
+        cases = [("FG-order", 12, 0.7), ("FG-order", 40, 0.16), ("F-mono-n", 1, 0.01), ("G-mono-n", 1, 0.01)]
+        for claim, n_max, step in cases:
+            res = run_grid_check(claim, n_max, step)
+            assert (res.passed, res.worst_violation, res.worst_point, res.points_checked) == (False, 0.0, {}, 0)
 
     # (2, 0.5) and (1, 0.5) leave F-mono-n and G-mono-n without a single row;
     # (3, 0.001) gives u-nonneg a last block of 54 means; at (40, 0.16)

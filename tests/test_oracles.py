@@ -95,6 +95,8 @@ class TestSimplexPoint:
             SimplexPoint((0.5, 0.9), 1.5)
         with pytest.raises(ValueError):
             SimplexPoint((), 0.0)
+        with pytest.raises(ValueError):
+            SimplexPoint((0.5,), math.nan)
 
 
 class TestSimplexGrid:
@@ -489,6 +491,9 @@ class TestMonteCarlo:
             monte_carlo_tail([], 10_000, 0)
         with pytest.raises(ValueError):
             monte_carlo_tail([Uniform(0.0, 1.0)], 999, 0)
+        for trials, seed in [(1500.5, 0), (math.nan, 0), (2000, 0.5)]:
+            with pytest.raises(ValueError):
+                monte_carlo_tail([Uniform(0.0, 1.0)], trials, seed)
 
     def test_estimate_respects_bound_on_random_mixes(self):
         rng = np.random.default_rng(2024)
