@@ -154,7 +154,8 @@ class SearchReport:
     slack = bound_value - max_value; the search passes iff slack is not
     meaningfully negative.  ``points_evaluated`` counts the simplex grid
     rows plus the pair moves evaluated, or the distinct sorted two-point
-    combinations inside the mean window.
+    combinations (n <= 4, on integer grid units) inside the mean window;
+    both searches count their rows exactly before building one.
     """
 
     max_value: float
@@ -242,10 +243,27 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
     yield from grow([], np.zeros(1, dtype=values.dtype))
 
 
-def _prefix_window(lam: float, denom: int) -> tuple[int, int]:
-    """Sums, in grid units, of the first n-1 simplex coordinates that leave
-    a last coordinate in [0, 1] (to within 1e-9/denom)."""
-    return math.ceil((lam - 1.0) * denom - 1e-9), math.floor(lam * denom + 1e-9)
+def _tuple_count(values: np.ndarray, lo: int, hi: int, size: int) -> int:
+    """Rows :func:`_sorted_tuples` yields for sorted non-negative integer
+    ``values``, counted without building any by Newton's identity for
+    multisets: k z_k = sum_{j<=k} p_j * z_{k-j}, where z_k[s] counts k-tuples
+    with value sum s and p_j[s] the values v with j v = s.  Convolving costs
+    O(hi^2), so the mirror image v -> top - v is counted if its window is lower.
+    Validated searches reach about 1.1e13 tuples, far inside int64.
+    """
+    top = int(values[-1])
+    if size * top - lo < hi:
+        values, lo, hi = top - values, size * top - hi, size * top - lo
+    p = [np.bincount(j * values[j * values <= hi], minlength=hi + 1) for j in range(1, size + 1)]
+    z = [np.ones(1, dtype=np.int64)]
+    for k in range(1, size + 1):
+        z.append(sum(np.convolve(p[j - 1], z[k - j])[: hi + 1] for j in range(1, k + 1)) // k)
+    return int(z[size][max(lo, 0) :].sum())
+
+
+def _unit_window(lo: float, hi: float, scale: int) -> tuple[int, int]:
+    """The integers k with lo <= k / scale <= hi, to within 1e-9 / scale."""
+    return math.ceil(lo * scale - 1e-9), math.floor(hi * scale + 1e-9)
 
 
 def _simplex_grid(n: int, lam: float, denom: int):
@@ -258,31 +276,11 @@ def _simplex_grid(n: int, lam: float, denom: int):
     lexicographic order of the prefix.
     """
     unit = 1.0 / denom
-    lo_units, hi_units = _prefix_window(lam, denom)
+    lo_units, hi_units = _unit_window(lam - 1.0, lam, denom)
     for index, total in _sorted_tuples(np.arange(denom + 1), lo_units, hi_units, n - 1):
         last = lam - total * unit
         last = np.where(last > 0.0, last, 0.0)  # as max(0.0, last): -0.0 becomes 0.0
         yield [k * unit for k in index] + [np.where(last < 1.0, last, 1.0)]
-
-
-def _simplex_size(n: int, lam: float, denom: int) -> int:
-    """Exact number of rows :func:`_simplex_grid` yields, without building any.
-
-    ``count[k][s]`` is the number of non-decreasing k-tuples from
-    0..d with sum s.  Raising d by one adds the tuples with every entry
-    at least 1 (shift a k-tuple from 0..d-1 up by one: sum + k) to those
-    holding a 0 (a (k-1)-tuple from 0..d plus a 0).
-    """
-    lo_units, hi_units = _prefix_window(lam, denom)
-    m = n - 1
-    count = np.zeros((m + 1, hi_units + 1), dtype=np.int64)
-    count[:, 0] = 1
-    for _ in range(denom):
-        for k in range(1, m + 1):
-            row = count[k - 1].copy()
-            row[k:] += count[k, : max(hi_units + 1 - k, 0)]
-            count[k] = row
-    return int(count[m, max(lo_units, 0) :].sum())
 
 
 def _pair_moves(q: list[float]) -> int:
@@ -343,7 +341,7 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     if not 1e-3 <= resolution <= 0.1:
         raise ValueError(f"resolution must be in [1e-3, 0.1], got {resolution}")
     denom = round(1.0 / resolution)
-    size = _simplex_size(n, lam, denom)
+    size = _tuple_count(np.arange(denom + 1), *_unit_window(lam - 1.0, lam, denom), n - 1)
     if size > MAX_GRID_POINTS:
         raise SearchSpaceError(f"simplex grid has {size} points, over the budget of {MAX_GRID_POINTS}")
     best_tail, best_row = -1.0, None
@@ -399,41 +397,39 @@ def _atoms_tail(atoms: Sequence[tuple[Sequence[float], Sequence[float]]]) -> flo
 
 
 def _two_point_options(denom: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct grid summands ``(low, high, prob_high)`` and their means,
-    sorted by mean.
+    """The distinct grid summands ``(low, high, prob_high)`` in units of
+    1/denom and their means in units of 1/denom^2, stable-sorted by mean.
 
     A summand with ``low == high`` or ``prob_high`` in {0, 1} is a point
     mass; each grid value appears once as ``(v, v, 0)``.  The others have
     ``low < high`` and ``0 < prob_high < 1`` on the grid.
     """
-    grid = np.arange(denom + 1) / denom
+    grid = np.arange(denom + 1)
     i, j = np.triu_indices(denom + 1, 1)
     k = np.arange(1, denom)
-    low = np.concatenate((np.repeat(grid[i], k.size), grid))
-    high = np.concatenate((np.repeat(grid[j], k.size), grid))
-    prob = np.concatenate((np.tile(grid[k], i.size), np.zeros(denom + 1)))
-    means = low + prob * (high - low)
+    low = np.concatenate((np.repeat(i, k.size), grid))
+    high = np.concatenate((np.repeat(j, k.size), grid))
+    prob = np.concatenate((np.tile(k, i.size), np.zeros(denom + 1, dtype=k.dtype)))
+    means = denom * low + prob * (high - low)
     order = np.argsort(means, kind="stable")
     return low[order], high[order], prob[order], means[order]
 
 
-def _two_point_tails(summands: list) -> np.ndarray:
+def _two_point_tails(summands: list, denom: int) -> np.ndarray:
     """Exact P(sum <= 1) for rows of independent two-point summands.
 
     ``summands`` holds, for each summand, its two outcomes as ``(value,
-    probability)`` arrays over the rows.  The outcomes of all summands but
-    the first are combined into one list, which is thresholded against each
-    outcome of the first; sums within SUM_TOL of 1 count as <= 1.
+    probability)`` arrays over the rows, values in grid units of 1/denom.
+    The outcomes of all summands but the first are combined into one list,
+    which is thresholded exactly against each outcome of the first.  These
+    rows of at most 4 exact integer summands need none of the merging of
+    equal sums that :func:`_atoms_tail` does over one long float sum.
     """
     first, *others = summands
     rest = others[0]
     for outcomes in others[1:]:
         rest = [(v + w, p * q) for v, p in rest for w, q in outcomes]
-    tails = 0.0
-    for value, prob in first:
-        threshold = 1.0 + SUM_TOL - value
-        tails = tails + prob * sum(p * (v <= threshold) for v, p in rest)
-    return tails
+    return sum(prob * sum(p * (v <= denom - value) for v, p in rest) for value, prob in first)
 
 
 def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
@@ -444,28 +440,31 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     at lam - resolution: the bound is non-increasing in the mean, so that
     adjustment makes the comparison sound at grid precision.  The tail is
     symmetric in its summands, so each multiset of distinct grid summands
-    is evaluated once; ``points_evaluated`` counts these.
+    is evaluated once; ``points_evaluated`` counts these exactly before any
+    is built.  Values and means are in integer grid units, so the mean
+    window and the ``<= 1`` test are exact; n is at most 4.
     """
     _check_query(lam, n)
-    if n not in (2, 3):
-        raise ValueError(f"two-point search supports n in {{2, 3}}, got {n}")
+    if not 2 <= n <= 4:
+        raise ValueError(f"two-point search supports 2 <= n <= 4, got {n}")
     if not 0.05 <= resolution <= 1.0:
         raise ValueError(f"resolution must be in [0.05, 1], got {resolution}")
     denom = round(1.0 / resolution)
-    low, high, prob, means = _two_point_options(denom)
-    if math.comb(len(means) + n - 1, n) > MAX_GRID_POINTS:
-        raise SearchSpaceError(f"{len(means)} two-point specs give over {MAX_GRID_POINTS} combinations of {n}")
+    low, high, k, means = _two_point_options(denom)
+    lo, hi = _unit_window(lam - resolution, lam + resolution, denom * denom)
+    size = _tuple_count(means, lo, hi, n)
+    if size > MAX_GRID_POINTS:
+        raise SearchSpaceError(f"{size} combinations of {n} two-point specs are over the budget of {MAX_GRID_POINTS}")
+    prob = k / denom
     stay = 1.0 - prob
-    window = resolution + 1e-12
 
-    best_val, best_combo, points = -1.0, None, 0
-    for index, _ in _sorted_tuples(means, lam - window, lam + window, n):
-        tails = _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index])
-        points += len(tails)
+    best_val, best_combo = -1.0, None
+    for index, _ in _sorted_tuples(means, lo, hi, n):
+        tails = _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index], denom)
         i = int(np.argmax(tails))
         if tails[i] > best_val:
             best_val, best_combo = float(tails[i]), [c[i] for c in index]
-    argmax = tuple(TwoPoint(float(low[k]), float(high[k]), float(prob[k])) for k in best_combo)
+    argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in best_combo)
     bound = finite_n_bound(max(0.0, lam - resolution), n).value
     return SearchReport(
         max_value=best_val,
@@ -473,7 +472,7 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
         bound_value=bound,
         slack=bound - best_val,
         resolution=resolution,
-        points_evaluated=points,
+        points_evaluated=size,
     )
 
 
@@ -554,6 +553,6 @@ def parse_dist_specs(data: object) -> tuple[DistSpec, ...]:
                 )
             else:
                 raise ValueError(f"entry {i} has unknown type {kind!r}")
-        except KeyError as exc:
-            raise ValueError(f"entry {i} is missing field {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"entry {i} has a missing or malformed field: {exc}") from exc
     return tuple(specs)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to derive expected test values.
 
-Everything here enumerates outcomes directly (no shared code with the
-package), so agreement is meaningful evidence of correctness.  The
+Everything here enumerates outcomes directly, or counts them by a plain
+dynamic programme (no shared code with the package), so agreement is
+meaningful evidence of correctness.  The
 exceptions are :func:`masked_envelope_values`, the envelope's earlier
 piecewise kernel over the package's branch terms, and
 :func:`per_n_grid_check`, which keeps the grid checks' earlier loop
@@ -111,6 +112,25 @@ def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
 
     rec(0, 0, 0, [])
     return np.asarray(rows, dtype=float)
+
+
+def multiset_count(values, lo: int, hi: int, size: int) -> int:
+    """Multisets of ``size`` items, item i worth the non-negative integer
+    ``values[i]``, whose worths sum to within [lo, hi].
+
+    A knapsack over the items that lets each be taken again: after item i,
+    ``ways[k][s]`` counts the multisets of items up to i with k members and
+    sum s.  Entries are Python integers, so the count cannot overflow.
+    """
+    hi = min(hi, size * max(values))
+    ways = [np.zeros(hi + 1, dtype=object) for _ in range(size + 1)]
+    ways[0][0] = 1
+    for v in values:
+        if v > hi:
+            continue
+        for k in range(1, size + 1):
+            ways[k][v:] += ways[k - 1][: hi + 1 - v]
+    return int(sum(ways[size][max(lo, 0) :]))
 
 
 def masked_envelope_values(lams: np.ndarray, n: int) -> np.ndarray:

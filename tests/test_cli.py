@@ -270,6 +270,11 @@ class TestVerifyCommand:
         assert proc.returncode == 0
         assert proc.stdout.startswith("two-point,true,")
 
+    def test_two_point_four_summands(self):
+        proc = run_cli("verify", "two-point", "--n", "4", "--lambda", "2", "--resolution", "0.2")
+        assert proc.returncode == 0
+        assert proc.stdout == "two-point,true,0.000000e+00,273995\n"
+
     def test_non_finite_resolution_exits_2(self):
         for target, resolution in (("two-point", "inf"), ("two-point", "nan"), ("lemma4", "inf"), ("lemma4", "nan")):
             proc = run_cli("verify", target, "--n", "2", "--lambda", "1.5", "--resolution", resolution)
@@ -342,6 +347,15 @@ class TestMcCommand:
         bad.write_text("{not json")
         proc = run_cli("mc", "--spec", str(bad), "--trials", "10000")
         assert proc.returncode == 2
+
+    def test_mistyped_field_exits_2(self, tmp_path):
+        mistyped = {"type": "discrete", "points": 5, "probs": [1]}, {"type": "two-point", "low": None, "high": 1, "p": 0.5}
+        for entry in mistyped:
+            spec = tmp_path / "mistyped.json"
+            spec.write_text(json.dumps([entry]))
+            proc = run_cli("mc", "--spec", str(spec), "--trials", "10000")
+            assert proc.returncode == 2 and proc.stdout == "", entry
+            assert proc.stderr.startswith("error: entry 0 "), proc.stderr
 
     def test_empty_spec_exits_2(self, tmp_path):
         empty = tmp_path / "empty.json"

@@ -15,6 +15,7 @@ from oracle_utils import (
     enum_bernoulli_tail,
     enum_two_point_tail,
     exact_simplex_volume_tail,
+    multiset_count,
     recursive_simplex_grid,
 )
 
@@ -107,12 +108,49 @@ class TestSimplexGrid:
         denom = round(1.0 / resolution)
         for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n)):
             ref = recursive_simplex_grid(n, lam, denom)
-            assert oracles._simplex_size(n, lam, denom) == len(ref), lam
+            window = oracles._unit_window(lam - 1.0, lam, denom)
+            assert oracles._tuple_count(np.arange(denom + 1), *window, n - 1) == len(ref), lam
             for chunk in (oracles.CHUNK_ROWS, 7):
                 monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
                 got = np.concatenate([np.column_stack(c) for c in oracles._simplex_grid(n, lam, denom)])
                 assert got.shape == ref.shape, (lam, chunk)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (lam, chunk)
+
+
+class TestTupleCount:
+    def test_matches_brute_force(self):
+        # repeated values; windows from below 0 to past the largest sum
+        rng = np.random.default_rng(3)
+        arrays = [[0], [2, 2, 2], [0, 0, 1, 3, 3, 7], [1, 4, 4, 4, 9]]
+        arrays += [sorted(rng.integers(0, 12, size=8).tolist()) for _ in range(4)]
+        for values in arrays:
+            for size in (1, 2, 3, 4):
+                sums = [sum(combo) for combo in itertools.combinations_with_replacement(values, size)]
+                top = max(sums)
+                windows = (-5, 0), (-3, top // 2), (0, top), (top // 2, top + 9), (top // 3, top // 2), (top, 10 * top)
+                for lo, hi in windows:
+                    want = sum(lo <= total <= hi for total in sums)
+                    assert oracles._tuple_count(np.array(values), lo, hi, size) == want, (values, size, lo, hi)
+
+    @pytest.mark.parametrize("denom", [4, 5])
+    def test_matches_two_point_rows(self, denom, monkeypatch):
+        means = oracles._two_point_options(denom)[3]
+        resolution = 1.0 / denom
+        for n in (2, 3, 4):
+            for lam in (0.0, 0.3, n / 2, n - 0.7, float(n)):
+                lo, hi = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
+                count = oracles._tuple_count(means, lo, hi, n)
+                for chunk in (oracles.CHUNK_ROWS, 7):
+                    monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+                    rows = sum(len(total) for _, total in oracles._sorted_tuples(means, lo, hi, n))
+                    assert count == rows, (n, lam, chunk)
+
+    def test_validated_extremes_do_not_overflow(self):
+        # the largest budget checks of both searches, against Python integers
+        simplex = (np.arange(1001), *oracles._unit_window(2.0, 3.0, 1000), 5)
+        assert oracles._tuple_count(*simplex) == multiset_count(*simplex) == 4_644_753_514_773
+        two_point = (oracles._two_point_options(20)[3], *oracles._unit_window(1.5 - 0.05, 1.5 + 0.05, 400), 3)
+        assert oracles._tuple_count(*two_point) == multiset_count(*two_point) == 1_010_994_630
 
 
 class TestMaximizeBernoulliTail:
@@ -169,7 +207,8 @@ class TestMaximizeBernoulliTail:
             for k in range(1, 40):
                 lam = k * n / 40
                 rep = maximize_bernoulli_tail(n, lam, 0.1)
-                pairs = rep.points_evaluated - oracles._simplex_size(n, lam, 10)
+                grid = oracles._tuple_count(np.arange(11), *oracles._unit_window(lam - 1.0, lam, 10), n - 1)
+                pairs = rep.points_evaluated - grid
                 assert pairs < oracles.MAX_PAIR_PASSES * n * (n - 1) // 2, (n, lam)
 
     def test_argmax_trichotomy_small_grid(self):
@@ -315,7 +354,7 @@ class TestMaximizeTwoPoint:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            maximize_two_point(4, 1.5, 0.1)
+            maximize_two_point(5, 1.5, 0.1)
         with pytest.raises(ValueError):
             maximize_two_point(2, 1.5, 0.01)
         with pytest.raises(SearchSpaceError):
@@ -323,6 +362,20 @@ class TestMaximizeTwoPoint:
         for n, lam, resolution in ((2.0, 1.5, 0.1), (2, 1.5, math.inf), (2, 1.5, math.nan), (2, 1.5, 2.5), (2, 2.5, 0.1)):
             with pytest.raises(ValueError):
                 maximize_two_point(n, lam, resolution)
+
+    @pytest.mark.parametrize("lam", [1.2, 1.6, 2.0, 2.8])
+    def test_four_summands(self, lam):
+        # points_evaluated against sorted 4-tuples of the distinct options
+        # (one point mass per grid value, and low < high with 0 < p < 1)
+        # whose means, in units of 1/25, sum to within 5 of 25 lam
+        rep = maximize_two_point(4, lam, 0.2)
+        assert rep.slack >= 0.0
+        assert two_point_tail(rep.argmax) == pytest.approx(rep.max_value, abs=1e-12)
+        spread = [(a, b, k) for a in range(6) for b in range(a + 1, 6) for k in range(1, 5)]
+        means = [5 * v for v in range(6)] + [5 * a + k * (b - a) for a, b, k in spread]
+        target = round(25 * lam)
+        want = sum(abs(sum(c) - target) <= 5 for c in itertools.combinations_with_replacement(means, 4))
+        assert rep.points_evaluated == want
 
     def test_distinct_options(self):
         # one point mass per grid value, then low < high with 0 < p < 1
@@ -428,6 +481,15 @@ class TestDistSpecs:
             parse_dist_specs([{"type": "triangular"}])
         with pytest.raises(ValueError):
             parse_dist_specs([{"type": "two-point", "low": 0.0}])
+
+    def test_parse_rejects_mistyped_fields(self):
+        for entry in (
+            {"type": "discrete", "points": 5, "probs": [1]},
+            {"type": "two-point", "low": None, "high": 1.0, "p": 0.5},
+            {"type": "uniform", "lo": [0.1], "hi": 0.9},
+        ):
+            with pytest.raises(ValueError, match="^entry 0 "):
+                parse_dist_specs([entry])
 
 
 class TestMonteCarlo:
