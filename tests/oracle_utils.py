@@ -4,10 +4,12 @@ Everything here enumerates outcomes directly, or counts them by a plain
 dynamic programme (no shared code with the package), so agreement is
 meaningful evidence of correctness.  The
 exceptions are :func:`masked_envelope_values`, the envelope's earlier
-piecewise kernel over the package's branch terms, and
+piecewise kernel over the package's branch terms,
 :func:`per_n_grid_check`, which keeps the grid checks' earlier loop
-structure over the package's own kernels, so that each can be compared bit
-for bit with its replacement.
+structure over the package's own kernels, and
+:func:`searchsorted_inverse_transform`, Monte Carlo's earlier sampler over
+the package's spec types, so that each can be compared bit for bit with its
+replacement.
 """
 
 from __future__ import annotations
@@ -234,6 +236,24 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             idx = int(np.argmax(diff))
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
     return (0.0 if worst == -math.inf else worst), worst_point, checked
+
+
+def searchsorted_inverse_transform(spec, u: np.ndarray) -> np.ndarray:
+    """Samples of a ``TwoPoint``, ``Uniform`` or ``Discrete`` spec at the
+    uniforms ``u``: a ``Discrete`` takes atom ``min(searchsorted(cumsum(probs),
+    u, "right"), K - 1)``.  This is Monte Carlo's earlier sampler, kept as
+    the reference for the per-summand samplers."""
+    from lefttail.oracles import Discrete, TwoPoint, Uniform
+
+    if isinstance(spec, TwoPoint):
+        return np.where(u < 1.0 - spec.prob_high, spec.low, spec.high)
+    if isinstance(spec, Uniform):
+        return spec.lo + u * (spec.hi - spec.lo)
+    if isinstance(spec, Discrete):
+        cum = np.cumsum(spec.probs)
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), len(spec.points) - 1)
+        return np.asarray(spec.points)[idx]
+    raise TypeError(f"unsupported distribution spec {type(spec).__name__}")
 
 
 def exact_simplex_volume_tail(n: int) -> Fraction:

@@ -342,6 +342,60 @@ class TestMcCommand:
         b = run_cli("mc", "--spec", tight_spec, "--trials", "50000", "--seed", "9")
         assert a.stdout == b.stdout
 
+    # stdout bytes as the searchsorted inverse transform printed them: a
+    # faster sampler must draw the same atoms
+    PINNED = (
+        (
+            # a 20-summand mix like the benchmark's sweep workload
+            [
+                {"type": "discrete", "points": [0.0, 0.35, 0.45], "probs": [0.9569000000000001, 0.0286, 0.0145]},
+                {"type": "two-point", "low": 0.0, "high": 0.25, "p": 0.0236},
+                {"type": "discrete", "points": [0.0, 0.25, 0.65], "probs": [0.9068999999999999, 0.06, 0.0331]},
+                {"type": "two-point", "low": 0.0, "high": 1.0, "p": 0.0434},
+                {"type": "two-point", "low": 0.0, "high": 0.2, "p": 0.1032},
+                {"type": "two-point", "low": 0.0, "high": 0.45, "p": 0.1004},
+                {"type": "discrete", "points": [0.0, 0.25, 0.3], "probs": [0.9374, 0.047, 0.0156]},
+                {"type": "discrete", "points": [0.0, 0.25, 1.0], "probs": [0.9199, 0.0525, 0.0276]},
+                {"type": "discrete", "points": [0.0, 0.05, 0.7], "probs": [0.8934, 0.0576, 0.049]},
+                {"type": "two-point", "low": 0.05, "high": 0.9, "p": 0.0791},
+                {"type": "two-point", "low": 0.05, "high": 0.45, "p": 0.0294},
+                {"type": "discrete", "points": [0.0, 0.45, 0.55], "probs": [0.9534, 0.0431, 0.0035]},
+                {"type": "discrete", "points": [0.0, 0.1, 0.5], "probs": [0.9076, 0.0766, 0.0158]},
+                {"type": "discrete", "points": [0.0, 0.35, 1.0], "probs": [0.9427, 0.0258, 0.0315]},
+                {"type": "discrete", "points": [0.0, 0.05, 0.4], "probs": [0.9122, 0.0878, 0.0]},
+                {"type": "two-point", "low": 0.05, "high": 0.9, "p": 0.0652},
+                {"type": "uniform", "lo": 0.0, "hi": 0.25},
+                {"type": "two-point", "low": 0.0, "high": 0.2, "p": 0.0978},
+                {"type": "two-point", "low": 0.0, "high": 0.8, "p": 0.1165},
+                {"type": "two-point", "low": 0.05, "high": 0.4, "p": 0.0291},
+            ],
+            ["--trials", "100000", "--seed", "2012"],
+            "0.59592000000000001,0.00465531328956495,1.0,true\n",
+        ),
+        (
+            # point masses, equal cuts, a cumsum below 1 and 40 atoms
+            [
+                {"type": "two-point", "low": 0.1, "high": 0.6, "p": 0.0},
+                {"type": "two-point", "low": 0.0, "high": 0.3, "p": 1.0},
+                {"type": "two-point", "low": 0.2, "high": 0.2, "p": 0.5},
+                {"type": "discrete", "points": [0.05], "probs": [1.0]},
+                {"type": "discrete", "points": [k / 40 for k in range(40)], "probs": [0.025] * 40},
+                {"type": "discrete", "points": [k / 10 for k in range(10)], "probs": [0.1] * 10},
+                {"type": "uniform", "lo": 0.0, "hi": 0.5},
+            ],
+            ["--trials", "50000", "--seed", "7"],
+            "0.02232,0.00198189988849084,0.41433286333303426,true\n",
+        ),
+    )
+
+    @pytest.mark.parametrize("spec, args, stdout", PINNED)
+    def test_pinned_output_bytes(self, spec, args, stdout, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        proc = run_cli("mc", "--spec", str(path), *args, "--precision", "17")
+        assert proc.returncode == 0
+        assert proc.stdout == stdout
+
     def test_malformed_spec_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

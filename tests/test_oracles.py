@@ -17,6 +17,7 @@ from oracle_utils import (
     exact_simplex_volume_tail,
     multiset_count,
     recursive_simplex_grid,
+    searchsorted_inverse_transform,
 )
 
 from lefttail import oracles
@@ -490,6 +491,49 @@ class TestDistSpecs:
         ):
             with pytest.raises(ValueError, match="^entry 0 "):
                 parse_dist_specs([entry])
+
+
+def _equal_atoms(k: int) -> Discrete:
+    return Discrete(tuple(np.linspace(0.0, 1.0, k)), (1.0 / k,) * k)
+
+
+class TestSamplers:
+    """Each summand's sampler against the earlier searchsorted inverse transform."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TwoPoint(0.2, 0.7, 0.3),
+            TwoPoint(0.2, 0.7, 0.0),
+            TwoPoint(0.2, 0.7, 1.0),
+            TwoPoint(0.4, 0.4, 0.5),
+            Discrete((0.3,), (1.0,)),
+            Discrete((0.0, 0.25, 0.5, 0.75, 1.0), (0.5, 0.0, 0.0, 0.25, 0.25)),  # equal cuts
+            Discrete(tuple(k / 10 for k in range(10)), (0.1,) * 10),  # cumsum ends below 1
+            _equal_atoms(oracles.COUNTED_ATOMS),
+            _equal_atoms(oracles.COUNTED_ATOMS + 1),
+            Uniform(0.1, 0.6),
+        ],
+    )
+    def test_matches_searchsorted_reference(self, spec):
+        if isinstance(spec, TwoPoint):
+            cuts = np.array([1.0 - spec.prob_high])
+        elif isinstance(spec, Discrete):
+            cuts = np.cumsum(spec.probs)
+        else:
+            cuts = np.array([spec.lo, spec.hi])
+        u = np.concatenate(
+            (
+                cuts,
+                np.nextafter(cuts, -np.inf),
+                np.nextafter(cuts, np.inf),
+                [0.0, np.nextafter(1.0, 0.0)],
+                np.random.default_rng(0).random(1000),
+            )
+        )
+        # monte_carlo_tail hands each sampler a strided column of its draw
+        column = np.stack((u, u), axis=1)[:, 1]
+        assert np.array_equal(oracles._sampler(spec)(column), searchsorted_inverse_transform(spec, u))
 
 
 class TestMonteCarlo:
