@@ -144,8 +144,6 @@ def _pow_one_minus(x, k: int):
 
         with np.errstate(divide="ignore"):
             return np.exp(k * np.log1p(-x))
-    if x == 0.0:
-        return 1.0
     if x == 1.0:
         return 0.0
     return math.exp(k * math.log1p(-x))

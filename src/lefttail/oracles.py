@@ -30,7 +30,6 @@ __all__ = [
     "bernoulli_tail",
     "maximize_bernoulli_tail",
     "two_point_tail",
-    "two_point_mean",
     "maximize_two_point",
     "monte_carlo_tail",
     "spec_mean",
@@ -525,9 +524,6 @@ def spec_mean(specs: Sequence[DistSpec]) -> float:
     return sum(s.mean() for s in specs)
 
 
-two_point_mean = spec_mean
-
-
 def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEstimate:
     """Seeded empirical estimate of P(sum <= 1) with a 3-sigma half-width.
 
@@ -540,7 +536,9 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
     above, so the choice follows its support size.  Trials are drawn in
     chunks of ``CHUNK_ROWS`` rows, each summed in summand order as one
     draw of every row would be, so the estimate does not depend on the
-    chunking.
+    chunking.  Every chunk is drawn into one buffer, which has fewer rows
+    above 128 summands, so that it holds at most ``CHUNK_ROWS * 128``
+    uniforms (8 MB) whatever the summand count.
     """
     if len(specs) == 0:
         raise ValueError("need at least one distribution spec")
@@ -553,9 +551,11 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
     samplers = [_sampler(spec) for spec in specs]
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0
-    for start in range(0, trials, CHUNK_ROWS):
+    rows = min(CHUNK_ROWS, max(1, CHUNK_ROWS * 128 // len(specs)))
+    buffer = np.empty((min(rows, trials), len(specs)))
+    for start in range(0, trials, rows):
         # row chunks of one Philox stream are the rows of a single draw
-        u = rng.random((min(CHUNK_ROWS, trials - start), len(specs)))
+        u = rng.random(out=buffer[: trials - start])
         total = np.zeros(len(u))
         for j, sample in enumerate(samplers):
             total += sample(u[:, j])

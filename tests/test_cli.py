@@ -258,6 +258,15 @@ class TestVerifyCommand:
             assert float(violation) <= 1e-12
             assert points == "1"
 
+    def test_tightness_at_large_n(self):
+        proc = run_cli("verify", "tightness", "--lambda", "1", "--n", "10000")
+        assert proc.returncode == 0
+        lines = proc.stdout.strip().split("\n")
+        assert [line.split(",")[:2] for line in lines] == [
+            ["tightness-first-max-term", "true"],
+            ["tightness-second-max-term", "true"],
+        ]
+
     def test_lemma4_passes(self):
         proc = run_cli("verify", "lemma4", "--n", "3", "--lambda", "2", "--resolution", "0.02")
         assert proc.returncode == 0

@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from oracle_utils import enum_binomial_pmf, enum_binomial_tail_at_most_one
 from scipy import stats
 
-from lefttail.bounds import binomial_branch, limit_bound, shifted_branch
+from lefttail.bounds import (
+    binomial_branch,
+    exponential_bound,
+    finite_n_bound,
+    limit_bound,
+    shifted_branch,
+    solve_decay_rate,
+)
 from lefttail.extremal import (
     BinomialSpec,
     binomial_pmf,
@@ -19,6 +28,19 @@ from lefttail.extremal import (
     tail_at_most_one,
     verify_tightness,
 )
+
+mpmath.mp.dps = 50
+
+# The tightness grid: trial counts past the old exact-coefficient cut-off
+# at 60, up to 10^6, by means from 1 to 30.
+GRID_N = (61, 100, 300, 10**3, 3 * 10**3, 10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6)
+GRID_LAMBDA = (1.0, 1.3, 1.7, 2.5, 4.0, 7.0, 15.0, 30.0)
+
+
+def mp_pmf(p, m, j):
+    """P(binomial(p, m) = j) in mpmath at the float p given."""
+    p = mpmath.mpf(p)
+    return mpmath.binomial(m, j) * p**j * (1 - p) ** (m - j)
 
 
 class TestBinomialPmf:
@@ -51,7 +73,7 @@ class TestBinomialPmf:
             )
 
     def test_matches_scipy_large_trials(self):
-        # exercises the log-gamma path (trials > 60)
+        # trial counts past the integer range of C(m, j) * p^j * (1-p)^(m-j)
         rng = np.random.default_rng(5)
         for _ in range(20):
             trials = int(rng.integers(61, 400))
@@ -60,6 +82,22 @@ class TestBinomialPmf:
             ours = binomial_pmf(BinomialSpec(p, trials), k)
             ref = float(stats.binom.pmf(k, trials, p))
             assert ours == pytest.approx(ref, rel=1e-10, abs=1e-300)
+
+    def test_matches_mpmath_at_large_trials(self):
+        # The route rounds each of its three log terms, so its relative
+        # error is a few ulps of their magnitudes: at most 1e-12 while they
+        # sum below about 2000, which covers every k <= 1 in use, and
+        # 5.6e-12 at m = 10^5, k = m/2, p = 1/2, where they are near 7e4.
+        eps = sys.float_info.epsilon
+        for m in (100, 10**3, 10**4, 10**5):
+            for k in (0, 1, 2, m // 2, m - 1):
+                for p in (1.0 / m, 2.5 / m, 0.3, 0.5, 1.0 - 1.0 / m):
+                    exact = mp_pmf(p, m, k)
+                    if exact < 1e-290:  # below the normal range, no relative accuracy
+                        continue
+                    err = float(abs(binomial_pmf(BinomialSpec(p, m), k) - exact) / exact)
+                    terms = abs(math.log(math.comb(m, k))) + abs(k * math.log(p)) + abs((m - k) * math.log1p(-p))
+                    assert err <= max(1e-12, 2.0 * eps * (1.0 + terms)), (m, k, p, err)
 
     def test_pmf_sums_to_one(self):
         for p in [0.0, 0.05, 0.3, 0.5, 0.77, 1.0]:
@@ -145,6 +183,19 @@ class TestTightness:
             assert rep.extremal_tail == 0.0
             assert rep.gap == 0.0
 
+    def test_large_n_gaps(self):
+        for n in GRID_N:
+            for lam in GRID_LAMBDA:
+                for rep in verify_tightness(lam, n):
+                    assert rep.gap <= 1e-12, (lam, n, rep.branch, rep.gap)
+
+    def test_first_branch_tail_matches_mpmath(self):
+        for n in GRID_N:
+            for lam in GRID_LAMBDA:
+                spec = extremal_for_branch(lam, n, "first-max-term")
+                exact = mp_pmf(spec.p, n, 0) + mp_pmf(spec.p, n, 1)
+                assert abs(tail_at_most_one(spec) - float(exact)) <= 1e-15, (lam, n)
+
     def test_branch_tails_match_on_grid(self):
         for n in range(2, 16):
             for tenth in range(10, 10 * n + 1, 3):
@@ -187,3 +238,49 @@ class TestPoisson:
             scaled = [poisson_limit_gap(lam, n) * n for n in (100, 1000, 10000, 100000)]
             # n * gap converges; it should never blow past its small-n level
             assert max(scaled) <= scaled[0] * 1.05 + 1e-12
+
+
+def mp_scaled_gap(lam, n):
+    """n (L - H_n) / L in mpmath, with L the n-free envelope and H_n the
+    larger of the two branches (1 < lam < n)."""
+    lam = mpmath.mpf(lam)
+    first = (1 + lam - lam / n) * (1 - lam / n) ** (n - 1)
+    second = (1 - (lam - 1) / (n - 1)) ** (n - 1)
+    limit = max(1 + lam, mpmath.e) * mpmath.exp(-lam)
+    return n * (limit - max(first, second)) / limit
+
+
+class TestPoissonLimitOptimality:
+    """The bound is optimal in the Poisson limit: H_n reaches the n-free
+    envelope L at rate 1/n, and the exponential form touches L."""
+
+    @staticmethod
+    def one_over_n_constant(lam):
+        # from expanding the log of the winning branch in 1/n
+        if 1.0 + lam >= math.e:
+            return lam**2 * (lam - 1.0) / (2.0 * (1.0 + lam))
+        return (lam - 1.0) ** 2 / 2.0
+
+    def test_gap_to_the_limit_has_its_one_over_n_constant(self):
+        for lam in (1.2, 1.5, 2.0, 5.0):
+            limit = limit_bound(lam).raw
+            for n in (10**4, 10**5, 10**6):
+                scaled = n * (limit - finite_n_bound(lam, n).value) / limit
+                exact = mp_scaled_gap(lam, n)
+                assert float(abs(scaled - exact) / exact) <= 1e-6, (lam, n, scaled)
+            c = self.one_over_n_constant(lam)
+            assert float(abs(mp_scaled_gap(lam, 10**6) - c)) <= 1e-4 * c, lam
+
+    def test_exponential_form_is_tangent_to_the_limit(self):
+        # exp(1 - r lam) meets (1 + lam) e^-lam with equal slope where
+        # r (1 + lam) = lam, that is at lam* = r / a0
+        rate = solve_decay_rate(1e-12)
+        tangent = rate.r / rate.a0
+        assert 5.3 < tangent < 5.31
+        touch = exponential_bound(tangent).raw - limit_bound(tangent).raw
+        assert 0.0 <= touch <= 1e-13, touch
+        lams = np.linspace(tangent - 2.0, tangent + 2.0, 401)
+        assert min(exponential_bound(lam).raw - limit_bound(lam).raw for lam in lams) >= 0.0
+        # any larger rate crosses below the limit near lam*
+        steeper = [math.exp(1.0 - (rate.r + 1e-9) * lam) - limit_bound(lam).raw for lam in lams]
+        assert min(steeper) < 0.0

@@ -35,7 +35,6 @@ from lefttail.oracles import (
     monte_carlo_tail,
     parse_dist_specs,
     spec_mean,
-    two_point_mean,
     two_point_tail,
 )
 
@@ -322,13 +321,13 @@ class TestTwoPointTail:
 class TestTwoPointMean:
     def test_deterministic_lows(self):
         spec = [TwoPoint(0.2, 0.2, 0.0), TwoPoint(0.3, 0.3, 1.0)]
-        assert two_point_mean(spec) == pytest.approx(0.5, abs=1e-15)
+        assert spec_mean(spec) == pytest.approx(0.5, abs=1e-15)
 
     def test_linearity(self):
-        assert two_point_mean([TwoPoint(0.0, 1.0, 0.5)] * 2) == pytest.approx(1.0, abs=1e-15)
+        assert spec_mean([TwoPoint(0.0, 1.0, 0.5)] * 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_mixed(self):
-        assert two_point_mean([TwoPoint(0.2, 0.8, 0.25)]) == pytest.approx(0.35, abs=1e-15)
+        assert spec_mean([TwoPoint(0.2, 0.8, 0.25)]) == pytest.approx(0.35, abs=1e-15)
 
 
 class TestMaximizeTwoPoint:
@@ -351,7 +350,7 @@ class TestMaximizeTwoPoint:
 
     def test_argmax_mean_in_window(self):
         rep = maximize_two_point(2, 1.5, 0.05)
-        assert abs(two_point_mean(rep.argmax) - 1.5) <= 0.05 + 1e-9
+        assert abs(spec_mean(rep.argmax) - 1.5) <= 0.05 + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -575,6 +574,21 @@ class TestMonteCarlo:
         large = traced_peak(lambda: monte_carlo_tail(specs, 400_000, seed=3))
         assert large < 1.25 * small + 64_000
         assert large < 4e6
+
+    def test_memory_does_not_grow_with_summands(self):
+        # a chunk of 8192 rows of 500 summands would hold 33 MB of uniforms
+        specs = [TwoPoint(0.0, 0.004, 0.3), Uniform(0.0, 0.002)] * 250
+        assert traced_peak(lambda: monte_carlo_tail(specs, 20_000, seed=3)) < 10e6
+
+    def test_chunked_draws_match_a_single_draw_at_many_summands(self, monkeypatch):
+        specs = [TwoPoint(0.0, 0.05, 0.04), Uniform(0.0, 0.004), Discrete((0.0, 0.01, 0.05), (0.9, 0.05, 0.05))] * 167
+        trials = 5000
+        chunked = monte_carlo_tail(specs, trials, seed=8)
+        # CHUNK_ROWS * 128 // 501 rows a chunk: every trial in one chunk
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 4 * trials)
+        single = monte_carlo_tail(specs, trials, seed=8)
+        assert 0.05 < single.estimate < 0.95
+        assert chunked == single
 
     def test_matches_exact_tail(self):
         specs = [
