@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +38,7 @@ __all__ = [
     "BoundQuery",
     "BoundResult",
     "DecayConstants",
-    "FixedPointError",
+    "NotStated",
     "binomial_branch",
     "shifted_branch",
     "finite_n_bound",
@@ -50,8 +50,13 @@ __all__ = [
     "exponential_bound",
 ]
 
-class FixedPointError(RuntimeError):
-    """Fixed-point iteration did not converge within the step cap."""
+#: Tolerance for closed-form comparisons: a branch against its extremal
+#: tail, a grid claim's worst violation, a Monte Carlo interval's low end.
+CLOSED_FORM_TOL = 1e-12
+
+
+class NotStated(ValueError):
+    """A valid query at which a comparator is not stated (a blank table cell)."""
 
 
 def _check_mean(lam: float) -> None:
@@ -242,11 +247,11 @@ def limit_bound(lam: float) -> BoundResult:
 def hoeffding_bound(lam: float, n: int) -> BoundResult:
     """Classical comparator lam * (1 + (1-lam)/n)^(n-1), clamped to 1.
 
-    Only stated for lam >= 1; smaller means raise rather than extrapolate.
+    Only stated for lam >= 1; smaller means raise NotStated, not extrapolate.
     """
     _check_query(lam, n)
     if lam < 1.0:
-        raise ValueError(f"the Hoeffding comparator requires mean >= 1, got {lam}")
+        raise NotStated(f"the Hoeffding comparator requires mean >= 1, got {lam}")
     raw = lam * _pow_one_minus((lam - 1.0) / n, n - 1)
     return BoundResult(min(1.0, raw), "hoeffding", "not-applicable", raw > 1.0, raw)
 
@@ -267,13 +272,13 @@ def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
 
     Exact mode: e * (p^n + n(1-p) p^(n-1)) with p = 1 - lam/n, which equals
     e times the binomial branch.  Simplified mode: (e/p)(1 + lam) e^-lam,
-    which needs p > 0 and so rejects lam = n.  Both clamp to 1.
+    which needs p > 0, so lam = n raises NotStated.  Both clamp to 1.
     """
     _check_query(lam, n)
     if simplified:
         p = 1.0 - lam / n
         if p == 0.0:
-            raise ValueError("simplified form needs mean < n (p = 0 at mean = n)")
+            raise NotStated("simplified form needs mean < n (p = 0 at mean = n)")
         # not (e/p) * _poisson_term(lam), which moves a third of the values by an ulp
         raw = (math.e / p) * (1.0 + lam) * math.exp(-lam)
         method = "bentkus-simple"
@@ -286,25 +291,20 @@ def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
 def solve_decay_rate(tol: float = 1e-12) -> DecayConstants:
     """Solve a = exp(a - 2) by fixed-point iteration from a = 0.5.
 
-    Stops when successive iterates differ by at most ``tol``; the map is a
-    contraction on (0, 1) (derivative e^(a-2) < 1) so convergence is
-    guaranteed.  The cap of 10,000 steps only guards against a mis-set
-    tolerance.  Returns a0 = 0.158594... and r = 1 - a0 = 0.841405....
+    Stops when successive iterates differ by at most ``tol``, which every
+    tolerance above 0 reaches: the float map a -> fl(exp(fl(a - 2))) is
+    non-decreasing and sends 0.5 below 0.5, so the iterates fall, without
+    going below the map's value at 0, until one is an exact fixed point
+    (step 22) and the difference is 0.  Returns a0 = 0.158594... and
+    r = 1 - a0 = 0.841405....
     """
     if not 0.0 < tol < 1e-3:
         raise ValueError(f"tolerance must be in (0, 1e-3), got {tol}")
-    a = 0.5
-    iterations = 0
-    for iterations in range(1, 10_001):
-        nxt = math.exp(a - 2.0)
-        done = abs(nxt - a) <= tol
-        a = nxt
-        if done:
-            break
-    else:
-        raise FixedPointError(f"no convergence within 10000 iterations at tol={tol}")
-    residual = abs(a - math.exp(a - 2.0))
-    return DecayConstants(a0=a, r=1.0 - a, iterations=iterations, residual=residual)
+    a, nxt, iterations = 0.5, math.exp(0.5 - 2.0), 1
+    while abs(nxt - a) > tol:
+        a, nxt, iterations = nxt, math.exp(nxt - 2.0), iterations + 1
+    residual = abs(nxt - math.exp(nxt - 2.0))
+    return DecayConstants(a0=nxt, r=1.0 - nxt, iterations=iterations, residual=residual)
 
 
 _DECAY_RATE = solve_decay_rate(1e-12).r
@@ -318,30 +318,14 @@ def exponential_bound(lam: float) -> BoundResult:
     return BoundResult(min(1.0, raw), "corollary1", "not-applicable", raw > 1.0, raw)
 
 
-class Method(NamedTuple):
-    """A bound the CLI evaluates by name.
-
-    ``evaluate(lam, n)`` ignores n when its bound does not take it, and
-    ``stated(lam, n)`` says whether the bound is stated at that mean (a
-    comparison table leaves the cell blank where it is not).
-    """
-
-    evaluate: Callable[[float, int], BoundResult]
-    stated: Callable[[float, int], bool]
-
-
-def _everywhere(lam: float, n: int) -> bool:
-    return True
-
-
-#: The bounds by method tag, in CLI and comparison-column order.  Each
-#: entry looks its function up in this module when called, so that a
-#: replaced module attribute (a tracing wrapper, say) sees registry calls.
+#: ``evaluate(lam, n)`` by method tag, in CLI and comparison-column order; n
+#: is ignored where the bound does not take it.  Each entry looks its function
+#: up in this module when called, so a replaced attribute sees registry calls.
 METHODS = {
-    "theorem1": Method(lambda lam, n: finite_n_bound(lam, n), _everywhere),
-    "theorem1-limit": Method(lambda lam, n: limit_bound(lam), _everywhere),
-    "hoeffding": Method(lambda lam, n: hoeffding_bound(lam, n), lambda lam, n: lam >= 1.0),
-    "bentkus": Method(lambda lam, n: bentkus_bound(lam, n), _everywhere),
-    "bentkus-simple": Method(lambda lam, n: bentkus_bound(lam, n, simplified=True), lambda lam, n: lam < n),
-    "corollary1": Method(lambda lam, n: exponential_bound(lam), _everywhere),
+    "theorem1": lambda lam, n: finite_n_bound(lam, n),
+    "theorem1-limit": lambda lam, n: limit_bound(lam),
+    "hoeffding": lambda lam, n: hoeffding_bound(lam, n),
+    "bentkus": lambda lam, n: bentkus_bound(lam, n),
+    "bentkus-simple": lambda lam, n: bentkus_bound(lam, n, simplified=True),
+    "corollary1": lambda lam, n: exponential_bound(lam),
 }

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lefttail.bounds import _binomial_term, _check_mean, _check_n, _envelope_values, _shifted_term
+from lefttail.bounds import CLOSED_FORM_TOL, _binomial_term, _check_mean, _check_n, _envelope_values, _shifted_term
 
 __all__ = [
     "CLAIMS",
@@ -40,9 +40,6 @@ __all__ = [
 #: count: 2/sqrt(3), where the slope quadratic's minimum (3*lam^2 - 4)/4
 #: turns non-negative.
 SLOPE_THRESHOLD = 2.0 / math.sqrt(3.0)
-
-#: Tolerance for closed-form comparisons.
-CLOSED_FORM_TOL = 1e-12
 
 CLAIMS = (
     "F-mono-n",
@@ -179,9 +176,10 @@ def _claim_rows(claim: str, n_max: int, lambda_step: float):
             yield vals[1:] - vals[:-1], _at(n, lams[1:])
 
     elif claim == "u-nonneg":
-        xs = np.arange(1, 1001) / 1000.0
+        # x = 1 is left out: the slope is exactly 0 there at every mean
+        xs = np.arange(1, 1000) / 1000.0
         lams = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True)
-        # a block of 64 means at a time: one (64, 1000) array, about 0.5 MB
+        # a block of 64 means at a time: one (64, 999) array, about 0.5 MB
         for a in range(0, lams.size, 64):
             block = lams[a : a + 64]
             yield -_slope_term(xs, block[:, None]), (

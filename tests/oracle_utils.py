@@ -181,7 +181,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             worst, worst_point = violation, point
 
     if claim == "u-nonneg":
-        xs = np.arange(1, 1001) / 1000.0
+        xs = np.arange(1, 1000) / 1000.0
         for lam in _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True):
             u = _slope_term(xs, lam)
             checked += xs.size

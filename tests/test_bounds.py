@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 from oracle_utils import enum_binomial_tail_at_most_one
 
+from lefttail import bounds, inequalities
 from lefttail.bounds import (
+    CLOSED_FORM_TOL,
     BoundQuery,
+    NotStated,
     bentkus_bound,
     binomial_branch,
     exponential_bound,
@@ -143,8 +146,16 @@ class TestHoeffding:
         assert not res.clamped  # raw is exactly 1, not above it
 
     def test_small_mean_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotStated, match="^the Hoeffding comparator requires mean >= 1, got 0.5$") as info:
             hoeffding_bound(0.5, 4)
+        assert isinstance(info.value, ValueError)
+
+    def test_invalid_query_is_a_plain_domain_error(self):
+        # the query is checked first, so a comparison table still rejects it
+        for lam, n in ((0.5, 0), (0.5, None), (math.nan, 4), (5.0, 4)):
+            with pytest.raises(ValueError) as info:
+                hoeffding_bound(lam, n)
+            assert not isinstance(info.value, NotStated), (lam, n)
 
     def test_exponential_form(self):
         assert hoeffding_exponential(0.0) == 1.0
@@ -178,10 +189,14 @@ class TestBentkus:
         assert res.clamped
 
     def test_simplified_rejects_full_mean(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotStated, match=r"^simplified form needs mean < n \(p = 0 at mean = n\)$"):
             bentkus_bound(5.0, 5, simplified=True)
         # exact mode is fine there
         assert bentkus_bound(5.0, 5, simplified=False).value == 0.0
+        # a mean above n is a domain error, not a blank cell
+        with pytest.raises(ValueError) as info:
+            bentkus_bound(6.0, 5, simplified=True)
+        assert not isinstance(info.value, NotStated)
 
 
 class TestDecayConstants:
@@ -202,6 +217,39 @@ class TestDecayConstants:
     def test_tolerance_validation(self, tol):
         with pytest.raises(ValueError):
             solve_decay_rate(tol)
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12, 1e-16, 1e-300, 5e-324])
+    def test_every_tolerance_ends(self, tol):
+        # the float iterates fall to an exact fixed point at step 22, where
+        # successive iterates differ by 0, so no tolerance above 0 runs longer
+        c = solve_decay_rate(tol)
+        assert 1 <= c.iterations <= 22
+        assert c.residual <= tol
+        if tol <= 1e-16:
+            assert c.a0 == math.exp(c.a0 - 2.0) and c.residual == 0.0
+
+    def test_iterations_at_default_tolerance(self):
+        assert solve_decay_rate(1e-12).iterations == 16
+
+    def test_iterates_fall_monotonically(self):
+        a, seen = 0.5, []
+        while not seen or seen[-1] != a:
+            seen.append(a)
+            a = math.exp(a - 2.0)
+        assert all(x > y for x, y in zip(seen, seen[1:]))
+        assert len(seen) == 22 and a == solve_decay_rate(5e-324).a0
+
+
+class TestClosedFormTolerance:
+    def test_one_constant(self):
+        assert inequalities.CLOSED_FORM_TOL is bounds.CLOSED_FORM_TOL is CLOSED_FORM_TOL
+        assert CLOSED_FORM_TOL == 1e-12
+        assert "CLOSED_FORM_TOL" in inequalities.__all__
+
+    def test_cli_uses_it(self):
+        from lefttail import cli
+
+        assert cli.CLOSED_FORM_TOL is CLOSED_FORM_TOL
 
 
 class TestExponentialBound:

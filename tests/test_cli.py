@@ -13,8 +13,8 @@ import tracemalloc
 
 import pytest
 
-from lefttail import cli
-from lefttail.bounds import METHODS
+from lefttail import bounds, cli
+from lefttail.bounds import METHODS, NotStated
 from lefttail.cli import build_parser, main
 
 
@@ -200,6 +200,35 @@ class TestMethodRegistry:
         assert main(["compare", "--lambda-min", "0", "--lambda-max", "0", "--step", "1", "--n", "4"]) == 0
         header = capsys.readouterr().out.split("\n")[0].split(",")
         assert header[2:] == [name.replace("-", "_") for name in METHODS]
+
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_blank_cells_are_exactly_the_not_stated_ones(self, raw, capsys):
+        # the ranges hold means below 1 and each n's top mean, lambda = n
+        blanks = set()
+        for n, lo, hi, step in ((1, 0, 1, 0.125), (2, 0, 2, 0.125), (4, 0, 4, 0.25), (10**6, 999_997, 10**6, 0.5)):
+            argv = ["compare", "--lambda-min", str(lo), "--lambda-max", str(hi), "--step", str(step), "--n", str(n)]
+            assert main(argv + ["--raw"] * raw) == 0
+            for line in capsys.readouterr().out.splitlines()[1:]:
+                lam_text, _, *cells = line.split(",")
+                lam = lo + step * round((float(lam_text) - lo) / step)
+                for (tag, evaluate), cell in zip(METHODS.items(), cells):
+                    try:
+                        res = evaluate(lam, n)
+                    except NotStated:
+                        assert cell == "", (n, lam, tag)
+                        blanks.add((tag, lam < 1, lam == n))
+                    else:
+                        assert cell == cli.format_value(res.raw if raw else res.value), (n, lam, tag)
+        assert blanks == {("hoeffding", True, False), ("bentkus-simple", False, True)}
+
+    def test_compare_exits_2_on_any_other_error(self, monkeypatch, capsys):
+        # only NotStated leaves a cell blank; another ValueError is an error
+        def broken(lam, n):
+            raise ValueError("broken comparator")
+
+        monkeypatch.setattr(bounds, "hoeffding_bound", broken)
+        assert main(["compare", "--lambda-min", "1", "--lambda-max", "2", "--step", "1", "--n", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: broken comparator\n")
 
 
 COMPARE_N4 = """\

@@ -177,6 +177,11 @@ class TestTightness:
         assert reports[0].bound_value == pytest.approx(0.3125, abs=1e-12)
         assert reports[1].bound_value == pytest.approx(8.0 / 27.0, abs=1e-12)
 
+    def test_mean_below_one_rejected(self):
+        for lam, n in ((0.5, 4), (0.0, 1), (0.999, 10**6)):
+            with pytest.raises(ValueError, match="^tightness check needs mean >= 1, got "):
+                verify_tightness(lam, n)
+
     def test_degenerate_full_mean(self):
         for rep in verify_tightness(4.0, 4):
             assert rep.bound_value == 0.0

@@ -233,6 +233,30 @@ class TestGridChecks:
         with pytest.raises(ValueError):
             run_grid_check("no-such-claim")
 
+    def test_u_nonneg_worst_point(self):
+        # x = 1, where the slope is exactly 0 at every mean, is off the grid,
+        # so the worst point is where the slope is smallest: at the threshold
+        # mean, next to x = 1
+        res = run_grid_check("u-nonneg", 300, 0.01)
+        assert f"{res.worst_violation:.6e}" == "-3.588553e-08"
+        assert res.worst_point == {"lam": SLOPE_THRESHOLD, "x": 0.999}
+        assert res.worst_violation == pytest.approx(-scaled_slope(0.999, SLOPE_THRESHOLD), rel=1e-9)
+        assert res.points_checked == 29_855_115 == 999 * inequalities._lam_grid(SLOPE_THRESHOLD, 300.0, 0.01, True).size
+
+    def test_u_nonneg_point_of_each_entry(self):
+        # a row is a block of 64 means by 999 values of x; entry k sits at the
+        # block's mean k // 999 and at x = (k % 999 + 1) / 1000
+        step = 0.05
+        rows = list(inequalities._claim_rows("u-nonneg", 10, step))
+        assert [v.size for v, _ in rows] == [64 * 999, 64 * 999, 49 * 999]
+        for b, (violations, point) in enumerate(rows):
+            for k in (0, 998, 999, 5 * 999 + 17, 48 * 999 + 500, violations.size - 1):
+                where = point(k)
+                assert where["x"] == (k % 999 + 1) / 1000
+                assert where["lam"] == pytest.approx(SLOPE_THRESHOLD + step * (64 * b + k // 999), abs=1e-9)
+                slope = scaled_slope(where["x"], where["lam"])
+                assert violations.flat[k] == pytest.approx(-slope, rel=1e-9, abs=1e-300)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             run_grid_check("F-mono-n", n_max=1000)

@@ -99,6 +99,11 @@ class TestSimplexPoint:
         with pytest.raises(ValueError):
             SimplexPoint((0.5,), math.nan)
 
+    def test_mean_outside_unit_interval_rejected(self):
+        for q in ((1.5, 0.0), (-0.25, 1.75), (1.0 + 1e-9, 0.5 - 1e-9)):
+            with pytest.raises(ValueError, match=r"^means must lie in \[0,1\]"):
+                SimplexPoint(q, 1.5)
+
 
 class TestSimplexGrid:
     @pytest.mark.parametrize("n, resolution", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (6, 0.05)])
@@ -482,6 +487,11 @@ class TestDistSpecs:
         with pytest.raises(ValueError):
             parse_dist_specs([{"type": "two-point", "low": 0.0}])
 
+    def test_parse_rejects_entries_that_are_not_objects(self):
+        for data, bad in (([1], 0), ([1, 2], 0), ([{"type": "uniform", "lo": 0.0, "hi": 1.0}, "uniform"], 1)):
+            with pytest.raises(ValueError, match=f"^entry {bad} is not an object$"):
+                parse_dist_specs(data)
+
     def test_parse_rejects_mistyped_fields(self):
         for entry in (
             {"type": "discrete", "points": 5, "probs": [1]},
@@ -549,6 +559,11 @@ class TestMonteCarlo:
     def test_point_mass(self):
         res = monte_carlo_tail([Discrete((0.0,), (1.0,))], 1000, seed=1)
         assert res == McEstimate(1.0, 0.0)
+
+    def test_rejects_an_object_that_is_not_a_spec(self):
+        for spec in (object(), (0.0, 1.0, 0.5), {"type": "uniform", "lo": 0.0, "hi": 1.0}):
+            with pytest.raises(TypeError, match="^unsupported distribution spec "):
+                monte_carlo_tail([Uniform(0.0, 0.5), spec], 1000, seed=0)
 
     def test_deterministic_given_seed(self):
         specs = [TwoPoint(0.0, 1.0, 0.5), Uniform(0.2, 0.9)]
