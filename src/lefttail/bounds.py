@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "BoundQuery",
     "BoundResult",
     "DecayConstants",
     "NotStated",
@@ -90,35 +89,16 @@ def _check_shifted_domain(lam: float, n: int) -> None:
         raise ValueError(f"shifted branch needs n >= 2 and 1 <= mean <= n, got mean {lam} at n={n}")
 
 
-class _Query(NamedTuple):
-    lam: float
-    n: int
-
-
-class BoundQuery(_Query):
-    """A (mean, summand count) pair; the input every bound consumes.
-
-    Invariants: ``0 <= lam <= n`` and ``n >= 1``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, lam: float, n: int) -> BoundQuery:
-        _check_query(lam, n)
-        return super().__new__(cls, lam, n)
-
-
 class BoundResult(NamedTuple):
     """A bound value in [0, 1] plus bookkeeping.
 
     ``raw`` is the pre-clamp value; ``clamped`` is True when raw > 1.
     ``branch`` records which term of a two-term max won (ties report
-    first-max-term) or the piecewise regime; methods without a max use
+    first-max-term) or the piecewise regime; bounds without a max use
     "not-applicable".
     """
 
     value: float
-    method: str
     branch: str
     clamped: bool
     raw: float
@@ -200,14 +180,14 @@ def finite_n_bound(lam: float, n: int) -> BoundResult:
     """
     _check_query(lam, n)
     if lam <= 1.0:
-        return BoundResult(1.0, "theorem1", "piecewise-one", False, 1.0)
+        return BoundResult(1.0, "piecewise-one", False, 1.0)
     if lam == n:
-        return BoundResult(0.0, "theorem1", "piecewise-zero", False, 0.0)
+        return BoundResult(0.0, "piecewise-zero", False, 0.0)
     first = _binomial_term(lam, n)
     second = _shifted_term(lam, n)
     if first >= second:
-        return BoundResult(first, "theorem1", "first-max-term", False, first)
-    return BoundResult(second, "theorem1", "second-max-term", False, second)
+        return BoundResult(first, "first-max-term", False, first)
+    return BoundResult(second, "second-max-term", False, second)
 
 
 def _envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
@@ -241,7 +221,7 @@ def limit_bound(lam: float) -> BoundResult:
     else:
         raw = math.exp(1.0 - lam)
         branch = "second-max-term"
-    return BoundResult(min(1.0, raw), "theorem1-limit", branch, raw > 1.0, raw)
+    return BoundResult(min(1.0, raw), branch, raw > 1.0, raw)
 
 
 def hoeffding_bound(lam: float, n: int) -> BoundResult:
@@ -253,7 +233,7 @@ def hoeffding_bound(lam: float, n: int) -> BoundResult:
     if lam < 1.0:
         raise NotStated(f"the Hoeffding comparator requires mean >= 1, got {lam}")
     raw = lam * _pow_one_minus((lam - 1.0) / n, n - 1)
-    return BoundResult(min(1.0, raw), "hoeffding", "not-applicable", raw > 1.0, raw)
+    return BoundResult(min(1.0, raw), "not-applicable", raw > 1.0, raw)
 
 
 def hoeffding_exponential(lam: float) -> float:
@@ -281,11 +261,9 @@ def bentkus_bound(lam: float, n: int, simplified: bool = False) -> BoundResult:
             raise NotStated("simplified form needs mean < n (p = 0 at mean = n)")
         # not (e/p) * _poisson_term(lam), which moves a third of the values by an ulp
         raw = (math.e / p) * (1.0 + lam) * math.exp(-lam)
-        method = "bentkus-simple"
     else:
         raw = math.e * _binomial_term(lam, n)
-        method = "bentkus"
-    return BoundResult(min(1.0, raw), method, "not-applicable", raw > 1.0, raw)
+    return BoundResult(min(1.0, raw), "not-applicable", raw > 1.0, raw)
 
 
 def solve_decay_rate(tol: float = 1e-12) -> DecayConstants:
@@ -315,7 +293,7 @@ def exponential_bound(lam: float) -> BoundResult:
     the decay rate :func:`solve_decay_rate` gives at tolerance 1e-12."""
     _check_mean(lam)
     raw = math.exp(1.0 - _DECAY_RATE * lam)
-    return BoundResult(min(1.0, raw), "corollary1", "not-applicable", raw > 1.0, raw)
+    return BoundResult(min(1.0, raw), "not-applicable", raw > 1.0, raw)
 
 
 #: ``evaluate(lam, n)`` by method tag, in CLI and comparison-column order; n

@@ -13,7 +13,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from lefttail.bounds import BoundQuery, _check_mean, _check_query, _check_shifted_domain, _poisson_term
+from lefttail.bounds import _check_mean, _check_query, _check_shifted_domain, _poisson_term
 from lefttail.bounds import binomial_branch, shifted_branch
 
 __all__ = [
@@ -62,7 +62,6 @@ class BinomialSpec(_Binomial):
 class TightnessReport(NamedTuple):
     """Gap between a bound branch and the tail of its extremal distribution."""
 
-    query: BoundQuery
     branch: str
     bound_value: float
     extremal_tail: float
@@ -129,14 +128,14 @@ def verify_tightness(lam: float, n: int) -> list[TightnessReport]:
     gap above ~1e-12 signals an implementation bug.  Requires 1 <= lam <= n;
     the second branch is skipped for n = 1.
     """
-    query = BoundQuery(lam, n)
+    _check_query(lam, n)
     if lam < 1.0:
         raise ValueError(f"tightness check needs mean >= 1, got {lam}")
     reports = []
     for branch, formula in (("first-max-term", binomial_branch), ("second-max-term", shifted_branch))[: 1 + (n >= 2)]:
         bound = formula(lam, n)
         tail = tail_at_most_one(extremal_for_branch(lam, n, branch))
-        reports.append(TightnessReport(query, branch, bound, tail, abs(bound - tail)))
+        reports.append(TightnessReport(branch, bound, tail, abs(bound - tail)))
     return reports
 
 

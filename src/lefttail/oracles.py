@@ -160,9 +160,9 @@ class McEstimate:
 class SearchReport:
     """Outcome of an exhaustive search against a bound.
 
-    slack = bound_value - max_value; the search passes iff slack is not
-    meaningfully negative.  ``points_evaluated`` counts the simplex grid
-    rows plus the pair moves evaluated, or the distinct sorted two-point
+    slack = bound_value - max_value; ``lefttail verify`` passes the search
+    iff slack >= -SLACK_TOL (-1e-9).  ``points_evaluated`` counts the simplex
+    grid rows plus the pair moves evaluated, or the distinct sorted two-point
     combinations (n <= 4, on integer grid units) inside the mean window;
     both searches count their rows exactly before building one.
     """
@@ -171,7 +171,6 @@ class SearchReport:
     argmax: SimplexPoint | tuple[TwoPoint, ...]
     bound_value: float
     slack: float
-    resolution: float
     points_evaluated: int
 
 
@@ -372,7 +371,6 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
         argmax=SimplexPoint(tuple(q), lam),
         bound_value=bound,
         slack=bound - max_value,
-        resolution=resolution,
         points_evaluated=size + moves,
     )
 
@@ -480,7 +478,6 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
         argmax=argmax,
         bound_value=bound,
         slack=bound - best_val,
-        resolution=resolution,
         points_evaluated=size,
     )
 
@@ -565,13 +562,20 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
     return McEstimate(estimate=estimate, ci_halfwidth=ci)
 
 
+def _number(x: object) -> float:
+    """A JSON number, an int or a float but not a bool, as a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def parse_dist_specs(data: object) -> tuple[DistSpec, ...]:
     """Build distribution specs from decoded JSON.
 
     Schema: a non-empty list of objects, each one of
     {"type": "two-point", "low": x, "high": y, "p": z},
     {"type": "uniform", "lo": x, "hi": y},
-    {"type": "discrete", "points": [...], "probs": [...]}.
+    {"type": "discrete", "points": [...], "probs": [...]}, with JSON numbers.
     """
     if not isinstance(data, list) or not data:
         raise ValueError("spec file must be a non-empty JSON list")
@@ -582,15 +586,13 @@ def parse_dist_specs(data: object) -> tuple[DistSpec, ...]:
         kind = item.get("type")
         try:
             if kind == "two-point":
-                specs.append(TwoPoint(float(item["low"]), float(item["high"]), float(item["p"])))
+                specs.append(TwoPoint(_number(item["low"]), _number(item["high"]), _number(item["p"])))
             elif kind == "uniform":
-                specs.append(Uniform(float(item["lo"]), float(item["hi"])))
+                specs.append(Uniform(_number(item["lo"]), _number(item["hi"])))
             elif kind == "discrete":
-                specs.append(
-                    Discrete(tuple(float(x) for x in item["points"]), tuple(float(p) for p in item["probs"]))
-                )
+                specs.append(Discrete(tuple(map(_number, item["points"])), tuple(map(_number, item["probs"]))))
             else:
                 raise ValueError(f"entry {i} has unknown type {kind!r}")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"entry {i} has a missing or malformed field: {exc}") from exc
     return tuple(specs)

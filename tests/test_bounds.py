@@ -11,7 +11,7 @@ from oracle_utils import enum_binomial_tail_at_most_one
 from lefttail import bounds, inequalities
 from lefttail.bounds import (
     CLOSED_FORM_TOL,
-    BoundQuery,
+    BoundResult,
     NotStated,
     bentkus_bound,
     binomial_branch,
@@ -23,6 +23,7 @@ from lefttail.bounds import (
     shifted_branch,
     solve_decay_rate,
 )
+from lefttail.extremal import verify_tightness
 
 E = math.e
 
@@ -276,17 +277,22 @@ class TestExponentialBound:
 
 
 class TestBoundQuery:
+    """The (mean, n) validation every finite-n entry point shares."""
+
     def test_accepts_valid(self):
-        BoundQuery(2.5, 4)
-        BoundQuery(2.5, np.int64(4))
         assert finite_n_bound(2.0, np.int64(4)).value == finite_n_bound(2.0, 4).value
+        assert verify_tightness(2.5, np.int64(4)) == verify_tightness(2.5, 4)
 
     @pytest.mark.parametrize("lam,n", [(-1.0, 3), (3.5, 3), (1.0, 0), (math.nan, 3), (math.inf, 3), (2.0, 4.5), (2.0, None), (0.5, None)])
     def test_rejects_invalid(self, lam, n):
-        # every bound that takes n shares the query's validation
-        for bound in (BoundQuery, finite_n_bound, hoeffding_bound, bentkus_bound):
+        for bound in (verify_tightness, finite_n_bound, hoeffding_bound, bentkus_bound):
             with pytest.raises(ValueError):
                 bound(lam, n)
+
+    def test_result_fields(self):
+        # a result holds what the bound computed, not the query or method tag
+        assert BoundResult._fields == ("value", "branch", "clamped", "raw")
+        assert not hasattr(bounds, "BoundQuery")
 
 
 class TestOrderingInvariants:

@@ -441,7 +441,15 @@ class TestMcCommand:
         assert proc.returncode == 2
 
     def test_mistyped_field_exits_2(self, tmp_path):
-        mistyped = {"type": "discrete", "points": 5, "probs": [1]}, {"type": "two-point", "low": None, "high": 1, "p": 0.5}
+        mistyped = (
+            {"type": "discrete", "points": 5, "probs": [1]},
+            {"type": "two-point", "low": None, "high": 1, "p": 0.5},
+            {"type": "uniform", "lo": "x", "hi": 1},
+            {"type": "discrete", "points": ["a"], "probs": [1]},
+            {"type": "two-point", "low": 0, "high": 1, "p": "0.5"},
+            {"type": "two-point", "low": 0, "high": 1, "p": True},
+            {"type": "uniform", "lo": 10**400, "hi": 1},
+        )
         for entry in mistyped:
             spec = tmp_path / "mistyped.json"
             spec.write_text(json.dumps([entry]))

@@ -55,6 +55,8 @@ CASES = [
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "1e-9", "--n", "4"],
     ["compare", "--lambda-min", "0", "--lambda-max", "0", "--step", "1", "--n", "0"],
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "1", "--n", "4", "--precision", "-2"],
+    # the row count's slack makes a candidate at 1.0, above lambda-max, which is dropped
+    ["compare", "--lambda-min", "0", "--lambda-max", "0.9999999995", "--step", "1", "--n", "4"],
     ["verify", "tightness", "--lambda", "2", "--n", "4"],
     ["verify", "tightness", "--lambda", "1.3", "--n", "1000"],
     ["verify", "tightness", "--lambda", "1", "--n", "1"],

@@ -21,6 +21,7 @@ from lefttail.bounds import (
 )
 from lefttail.extremal import (
     BinomialSpec,
+    TightnessReport,
     binomial_pmf,
     extremal_for_branch,
     poisson_limit_gap,
@@ -176,6 +177,9 @@ class TestTightness:
             assert rep.gap <= 1e-12
         assert reports[0].bound_value == pytest.approx(0.3125, abs=1e-12)
         assert reports[1].bound_value == pytest.approx(8.0 / 27.0, abs=1e-12)
+
+    def test_report_fields(self):
+        assert TightnessReport._fields == ("branch", "bound_value", "extremal_tail", "gap")
 
     def test_mean_below_one_rejected(self):
         for lam, n in ((0.5, 4), (0.0, 1), (0.999, 10**6)):

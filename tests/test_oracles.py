@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -156,6 +157,13 @@ class TestTupleCount:
         assert oracles._tuple_count(*simplex) == multiset_count(*simplex) == 4_644_753_514_773
         two_point = (oracles._two_point_options(20)[3], *oracles._unit_window(1.5 - 0.05, 1.5 + 0.05, 400), 3)
         assert oracles._tuple_count(*two_point) == multiset_count(*two_point) == 1_010_994_630
+
+
+def test_search_report_fields():
+    # a report holds what the search found, not the resolution it was given
+    for rep in (maximize_bernoulli_tail(2, 1.5, 0.1), maximize_two_point(2, 1.5, 0.5)):
+        names = tuple(field.name for field in dataclasses.fields(rep))
+        assert names == ("max_value", "argmax", "bound_value", "slack", "points_evaluated")
 
 
 class TestMaximizeBernoulliTail:
@@ -462,7 +470,7 @@ class TestDistSpecs:
             Discrete((), ())
         with pytest.raises(ValueError):
             Discrete((0.0, 1.0), (math.nan, 0.5))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^probabilities must lie in \[0,1\], got nan$"):
             parse_dist_specs([{"type": "discrete", "points": [0.0, 1.0], "probs": [math.nan, 0.5]}])
         d = Discrete((0.0, 0.5, 1.0), (0.25, 0.5, 0.25))
         assert d.mean() == pytest.approx(0.5)
@@ -476,6 +484,8 @@ class TestDistSpecs:
         specs = parse_dist_specs(data)
         assert specs == (TwoPoint(0.0, 1.0, 0.5), Uniform(0.1, 0.9), Discrete((0.0, 1.0), (0.3, 0.7)))
         assert spec_mean(specs) == pytest.approx(0.5 + 0.5 + 0.7)
+        # a JSON integer is a number too
+        assert parse_dist_specs([{"type": "uniform", "lo": 0, "hi": 1}]) == (Uniform(0.0, 1.0),)
 
     def test_parse_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -497,6 +507,11 @@ class TestDistSpecs:
             {"type": "discrete", "points": 5, "probs": [1]},
             {"type": "two-point", "low": None, "high": 1.0, "p": 0.5},
             {"type": "uniform", "lo": [0.1], "hi": 0.9},
+            {"type": "uniform", "lo": "x", "hi": 1},
+            {"type": "discrete", "points": ["a"], "probs": [1]},
+            {"type": "two-point", "low": 0.0, "high": 1.0, "p": "0.5"},
+            {"type": "two-point", "low": 0.0, "high": 1.0, "p": True},
+            {"type": "uniform", "lo": 10**400, "hi": 1},  # a JSON integer past the float range
         ):
             with pytest.raises(ValueError, match="^entry 0 "):
                 parse_dist_specs([entry])
