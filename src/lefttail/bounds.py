@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
+    "CLOSED_FORM_TOL",
     "BoundResult",
     "DecayConstants",
     "NotStated",
@@ -65,14 +67,16 @@ def _check_mean(lam: float) -> None:
 
 
 def _check_n(n: int) -> None:
-    """Reject a non-integer or non-positive n (None included); Python and
-    numpy integers pass, as does anything else with ``__index__``."""
+    """Reject a non-integer n (None included), one below 1 and one that a
+    double cannot hold; anything with ``__index__`` is an integer."""
     try:
         operator.index(n)
     except TypeError:
         raise ValueError(f"n must be a positive integer, got {n}") from None
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
+    if n > sys.float_info.max:
+        raise ValueError(f"n must be at most {sys.float_info.max:g}, got {n}")
 
 
 def _check_query(lam: float, n: int) -> None:

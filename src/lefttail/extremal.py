@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from typing import NamedTuple
 
 from lefttail.bounds import _check_mean, _check_query, _check_shifted_domain, _poisson_term
@@ -49,8 +50,8 @@ class BinomialSpec(_Binomial):
             trials = operator.index(trials)
         except TypeError:
             raise ValueError(f"trial count must be an integer, got {trials}") from None
-        if trials < 0:
-            raise ValueError(f"trial count must be non-negative, got {trials}")
+        if not 0 <= trials <= sys.float_info.max:
+            raise ValueError(f"trial count must be non-negative and at most {sys.float_info.max:g}, got {trials}")
         if shift not in (0, 1):
             raise ValueError(f"shift must be 0 or 1, got {shift}")
         return super().__new__(cls, p, trials, shift)

@@ -24,7 +24,6 @@ from lefttail.bounds import CLOSED_FORM_TOL, _binomial_term, _check_mean, _check
 
 __all__ = [
     "CLAIMS",
-    "CLOSED_FORM_TOL",
     "SLOPE_THRESHOLD",
     "GridCheckResult",
     "log_binomial_branch",

@@ -160,17 +160,16 @@ class McEstimate:
 class SearchReport:
     """Outcome of an exhaustive search against a bound.
 
-    slack = bound_value - max_value; ``lefttail verify`` passes the search
-    iff slack >= -SLACK_TOL (-1e-9).  ``points_evaluated`` counts the simplex
-    grid rows plus the pair moves evaluated, or the distinct sorted two-point
-    combinations (n <= 4, on integer grid units) inside the mean window;
-    both searches count their rows exactly before building one.
+    ``lefttail verify`` passes iff max_value - bound_value <= CLOSED_FORM_TOL.
+    ``points_evaluated`` counts the simplex grid rows plus the pair moves
+    evaluated, or the distinct sorted two-point combinations (n <= 4, on
+    integer grid units) inside the mean window; both searches count their
+    rows exactly before building one.
     """
 
     max_value: float
     argmax: SimplexPoint | tuple[TwoPoint, ...]
     bound_value: float
-    slack: float
     points_evaluated: int
 
 
@@ -339,8 +338,8 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     every grid row has two coordinates at 1, so that every row's tail and
     every pair's states are 0 and no move is made.  ``max_value`` is the
     tail of the returned argmax: the best of the two moved points and the
-    grid row, which rounding can leave higher.  The slack should never be
-    meaningfully negative; the argmax is expected to have its interior
+    grid row, which rounding can leave higher.  It should exceed the bound
+    by rounding at most; the argmax is expected to have its interior
     coordinates equal, with the others at 0 or 1.
     """
     _check_query(lam, n)
@@ -370,7 +369,6 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
         max_value=max_value,
         argmax=SimplexPoint(tuple(q), lam),
         bound_value=bound,
-        slack=bound - max_value,
         points_evaluated=size + moves,
     )
 
@@ -477,7 +475,6 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
         max_value=best_val,
         argmax=argmax,
         bound_value=bound,
-        slack=bound - best_val,
         points_evaluated=size,
     )
 

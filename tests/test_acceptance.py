@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from lefttail.bounds import (
+    CLOSED_FORM_TOL,
     bentkus_bound,
     binomial_branch,
     exponential_bound,
@@ -82,7 +83,7 @@ def test_criterion_03_bernoulli_simplex_search():
                     break
                 k += 1
                 rep = maximize_bernoulli_tail(n, lam, resolution)
-                assert rep.max_value <= finite_n_bound(lam, n).value + 1e-9, (n, lam)
+                assert rep.max_value - finite_n_bound(lam, n).value <= CLOSED_FORM_TOL, (n, lam)
                 q = rep.argmax.q
                 center = lam / n
                 symmetric = all(abs(v - center) <= resolution + 1e-6 for v in q)
@@ -98,7 +99,7 @@ def test_criterion_04_two_point_search():
         for n, resolution in ((2, 0.05), (3, 0.1)):
             for lam in (1.2, 1.5, 1.8):
                 rep = maximize_two_point(n, lam, resolution)
-                assert rep.max_value <= rep.bound_value + 1e-9, (n, lam, rep)
+                assert rep.max_value - rep.bound_value <= CLOSED_FORM_TOL, (n, lam, rep)
         elapsed = time.perf_counter() - t0
         assert elapsed < 300.0, f"two-point search took {elapsed:.1f} s"
 

@@ -23,7 +23,7 @@ from lefttail.bounds import (
     shifted_branch,
     solve_decay_rate,
 )
-from lefttail.extremal import verify_tightness
+from lefttail.extremal import BinomialSpec, extremal_for_branch, poisson_limit_gap, tail_at_most_one, verify_tightness
 
 E = math.e
 
@@ -245,7 +245,8 @@ class TestClosedFormTolerance:
     def test_one_constant(self):
         assert inequalities.CLOSED_FORM_TOL is bounds.CLOSED_FORM_TOL is CLOSED_FORM_TOL
         assert CLOSED_FORM_TOL == 1e-12
-        assert "CLOSED_FORM_TOL" in inequalities.__all__
+        # exported where it is defined, so reading it loads no array module
+        assert "CLOSED_FORM_TOL" in bounds.__all__ and "CLOSED_FORM_TOL" not in inequalities.__all__
 
     def test_cli_uses_it(self):
         from lefttail import cli
@@ -288,6 +289,21 @@ class TestBoundQuery:
         for bound in (verify_tightness, finite_n_bound, hoeffding_bound, bentkus_bound):
             with pytest.raises(ValueError):
                 bound(lam, n)
+
+    def test_rejects_an_n_a_double_cannot_hold(self):
+        # a domain error, not the OverflowError of the first float operation
+        # on n; an n below that limit still evaluates
+        scalar = (finite_n_bound, binomial_branch, hoeffding_bound, bentkus_bound, verify_tightness, poisson_limit_gap)
+        calls = [lambda n, f=f: f(2.0, n) for f in scalar]
+        calls += [
+            lambda n: extremal_for_branch(2.0, n, "second-max-term"),
+            inequalities.crossover_threshold,
+            lambda n: tail_at_most_one(BinomialSpec(0.5, n)),
+        ]
+        for call in calls:
+            call(2**1000)
+            with pytest.raises(ValueError, match="at most 1.79769e[+]308"):
+                call(10**400)
 
     def test_result_fields(self):
         # a result holds what the bound computed, not the query or method tag

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import resource
@@ -154,7 +155,7 @@ class TestCompareCommand:
     def test_errors_name_the_argument(self):
         base = ("compare", "--lambda-min", "0", "--lambda-max", "1000000", "--n", "1000000")
         for extra, name in ((("--step", "nan"), "--step"), (("--step", "1e-9"), "--step"),
-                            (("--step", "1", "--precision", "-1"), "--precision")):
+                            (("--step", "1e-320"), "--step"), (("--step", "1", "--precision", "-1"), "--precision")):
             proc = run_cli(*base, *extra)
             assert proc.returncode == 2 and proc.stdout == "", extra
             assert proc.stderr.startswith("error: ") and name in proc.stderr, proc.stderr
@@ -312,6 +313,30 @@ class TestVerifyCommand:
         proc = run_cli("verify", "two-point", "--n", "4", "--lambda", "2", "--resolution", "0.2")
         assert proc.returncode == 0
         assert proc.stdout == "two-point,true,0.000000e+00,273995\n"
+
+    @pytest.mark.parametrize("target, search, resolution", [("lemma4", "maximize_bernoulli_tail", "0.1"),
+                                                            ("two-point", "maximize_two_point", "0.5")])
+    @pytest.mark.parametrize("excess, passed, code", [(1e-13, "true", 0), (1e-10, "false", 1)])
+    def test_search_is_judged_by_closed_form_tol(self, target, search, resolution, excess, passed, code, monkeypatch,
+                                                 capsys):
+        # a search passes iff its maximum exceeds the bound by at most
+        # CLOSED_FORM_TOL, the rule of tightness, the grid claims and mc
+        from lefttail import oracles
+
+        found = getattr(oracles, search)
+
+        def over(n, lam, resolution):
+            rep = found(n, lam, resolution)
+            return dataclasses.replace(rep, max_value=rep.bound_value + excess)
+
+        monkeypatch.setattr(oracles, search, over)
+        assert main(["verify", target, "--n", "2", "--lambda", "1.5", "--resolution", resolution]) == code
+        check, ok, violation, points = capsys.readouterr().out.strip().split(",")
+        assert (check, ok) == (target, passed)
+        assert float(violation) == pytest.approx(excess, rel=1e-3)
+
+    def test_one_pass_rule_and_dispatch_from_the_parser(self):
+        assert not hasattr(cli, "SLACK_TOL") and not hasattr(cli, "_HANDLERS")
 
     def test_non_finite_resolution_exits_2(self):
         for target, resolution in (("two-point", "inf"), ("two-point", "nan"), ("lemma4", "inf"), ("lemma4", "nan")):

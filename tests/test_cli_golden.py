@@ -45,6 +45,9 @@ CASES = [
     ["bound", "--lambda", "2", "--method", "theorem1", "--n", "0"],
     ["bound", "--lambda", "nan", "--method", "theorem1-limit"],
     ["bound", "--lambda", "1", "--method", "corollary1", "--precision", "-1"],
+    # an n that a double cannot hold is a domain error on every path
+    ["bound", "--lambda", "2", "--method", "theorem1", "--n", str(10**400)],
+    ["bound", "--lambda", "0", "--method", "theorem1", "--n", str(10**400)],
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "0.25", "--n", "4"],
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "0.25", "--n", "4", "--raw"],
     ["compare", "--lambda-min", "0", "--lambda-max", "1", "--step", "0.5", "--n", "1"],
@@ -53,6 +56,8 @@ CASES = [
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "0", "--n", "4"],
     ["compare", "--lambda-min", "0", "--lambda-max", "5", "--step", "0.5", "--n", "4"],
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "1e-9", "--n", "4"],
+    ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "1e-320", "--n", "4"],
+    ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "1", "--n", str(10**400)],
     ["compare", "--lambda-min", "0", "--lambda-max", "0", "--step", "1", "--n", "0"],
     ["compare", "--lambda-min", "0", "--lambda-max", "4", "--step", "1", "--n", "4", "--precision", "-2"],
     # the row count's slack makes a candidate at 1.0, above lambda-max, which is dropped
@@ -61,6 +66,7 @@ CASES = [
     ["verify", "tightness", "--lambda", "1.3", "--n", "1000"],
     ["verify", "tightness", "--lambda", "1", "--n", "1"],
     ["verify", "tightness", "--lambda", "0.5", "--n", "4"],
+    ["verify", "tightness", "--lambda", "2", "--n", str(10**400)],
     ["verify", "lemma4", "--n", "3", "--lambda", "1.5", "--resolution", "0.1"],
     ["verify", "lemma4", "--n", "3", "--lambda", "1.5", "--resolution", "nan"],
     ["verify", "two-point", "--n", "2", "--lambda", "1.2", "--resolution", "0.1"],

@@ -163,14 +163,14 @@ def test_search_report_fields():
     # a report holds what the search found, not the resolution it was given
     for rep in (maximize_bernoulli_tail(2, 1.5, 0.1), maximize_two_point(2, 1.5, 0.5)):
         names = tuple(field.name for field in dataclasses.fields(rep))
-        assert names == ("max_value", "argmax", "bound_value", "slack", "points_evaluated")
+        assert names == ("max_value", "argmax", "bound_value", "points_evaluated")
 
 
 class TestMaximizeBernoulliTail:
     def test_boundary_maximizer(self):
         rep = maximize_bernoulli_tail(2, 1.5, 0.01)
         assert rep.max_value == pytest.approx(0.5, abs=1e-9)
-        assert rep.slack >= -1e-9
+        assert rep.bound_value - rep.max_value >= -1e-9
         assert sorted(rep.argmax.q) == pytest.approx([0.5, 1.0], abs=0.011)
 
     def test_symmetric_maximizer(self):
@@ -181,7 +181,7 @@ class TestMaximizeBernoulliTail:
             assert finite_n_bound(lam, n).branch == "first-max-term"
             rep = maximize_bernoulli_tail(n, lam, resolution)
             assert max(rep.argmax.q) - min(rep.argmax.q) <= 1e-12, (n, lam)
-            assert abs(rep.slack) <= 1e-14, (n, lam)
+            assert abs(rep.bound_value - rep.max_value) <= 1e-14, (n, lam)
 
     def test_zero_plateau(self):
         # every grid row has two coordinates at 1, so every row's tail is 0
@@ -229,7 +229,7 @@ class TestMaximizeBernoulliTail:
             lam = 1.3
             while lam < min(n, 3.0):
                 rep = maximize_bernoulli_tail(n, lam, 0.05)
-                assert rep.slack >= -1e-9, (n, lam)
+                assert rep.bound_value - rep.max_value >= -1e-9, (n, lam)
                 q = rep.argmax.q
                 assert near_symmetric(q, lam, 0.05 + 1e-6) or touches_boundary(q, 0.05 + 1e-6), (n, lam, q)
                 lam += 0.4
@@ -346,14 +346,14 @@ class TestTwoPointMean:
 class TestMaximizeTwoPoint:
     def test_mid_mean(self):
         rep = maximize_two_point(2, 1.5, 0.05)
-        assert rep.slack >= -1e-9
+        assert rep.bound_value - rep.max_value >= -1e-9
         # bound is the envelope at 1.45; grid max should reach it
         assert rep.bound_value == pytest.approx(0.55, abs=1e-12)
         assert rep.max_value <= 0.55 + 1e-12
 
     def test_degenerate_full_mean(self):
         rep = maximize_two_point(2, 2.0, 0.05)
-        assert rep.slack >= -1e-9
+        assert rep.bound_value - rep.max_value >= -1e-9
         assert rep.max_value <= rep.bound_value + 1e-12
 
     def test_vacuous_regime(self):
@@ -382,7 +382,7 @@ class TestMaximizeTwoPoint:
         # (one point mass per grid value, and low < high with 0 < p < 1)
         # whose means, in units of 1/25, sum to within 5 of 25 lam
         rep = maximize_two_point(4, lam, 0.2)
-        assert rep.slack >= 0.0
+        assert rep.bound_value - rep.max_value >= 0.0
         assert two_point_tail(rep.argmax) == pytest.approx(rep.max_value, abs=1e-12)
         spread = [(a, b, k) for a in range(6) for b in range(a + 1, 6) for k in range(1, 5)]
         means = [5 * v for v in range(6)] + [5 * a + k * (b - a) for a, b, k in spread]

@@ -49,6 +49,7 @@ def test_bare_import_loads_no_numpy_until_an_array_module_is_used():
         """
 import json, sys
 import lefttail, lefttail.cli
+assert lefttail.CLOSED_FORM_TOL == 1e-12
 before = "numpy" in sys.modules
 modules = [lefttail.oracles.__name__, lefttail.inequalities.__name__]
 search = lefttail.maximize_bernoulli_tail.__module__
