@@ -40,8 +40,9 @@ __all__ = [
 # that should hit the threshold exactly are not lost to float noise.
 SUM_TOL = 1e-12
 
-# Hard cap on exhaustive search sizes: simplex grid points, or sorted
-# combinations of two-point grid summands.
+# Hard cap on the rows an exhaustive search scans (simplex grid points, or
+# sorted combinations of two-point grid summands), and on the draws, trials
+# times summands, of one Monte Carlo call: about 26 s at 26 ns a draw.
 MAX_GRID_POINTS = 1_000_000_000
 
 # Rows the exhaustive searches build and evaluate, and Monte Carlo trials
@@ -200,20 +201,6 @@ def _tail_states(columns):
     return p0, p1
 
 
-def _expand(lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(parent, child)`` for every parent i and child in ``[lb[i], ub[i])``.
-
-    Parents keep their order and each parent's children follow in
-    increasing order, so expanding lexicographically sorted tuples by one
-    more index keeps them sorted.
-    """
-    counts = np.maximum(ub - lb, 0)
-    parent = np.repeat(np.arange(len(lb)), counts)
-    starts = np.cumsum(counts) - counts
-    child = np.arange(parent.size) + np.repeat(lb - starts, counts)
-    return parent, child
-
-
 def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
     """Non-decreasing index tuples into the sorted array ``values`` whose
     value sums lie in ``[lo, hi]``, in lexicographic order.
@@ -239,12 +226,17 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
         start = index[-1] if depth else 0
         lb = np.maximum(start, np.searchsorted(values, lo - total - rest * top, side="left"))
         ub = np.searchsorted(values, (hi - total) / (rest + 1), side="right")
-        ends = np.cumsum(np.maximum(ub - lb, 0))
+        counts = np.maximum(ub - lb, 0)
+        ends = np.cumsum(counts)
+        # row g of the depth has parent p with ends[p-1] <= g < ends[p] and
+        # child g + shift[p]: parents keep their order and each one's
+        # children rise from lb[p], so the tuples stay sorted
+        shift = lb - ends + counts
         cuts = np.searchsorted(ends, np.arange(CHUNK_ROWS, ends[-1], CHUNK_ROWS), side="right")
         for a, b in zip((0, *cuts), (*cuts, len(ends))):
-            parent, child = _expand(lb[a:b], ub[a:b])
-            if child.size:
-                parent += a
+            parent = np.repeat(np.arange(a, b), counts[a:b])
+            if parent.size:
+                child = np.arange(ends[b - 1] - parent.size, ends[b - 1]) + shift[parent]
                 yield from grow([column[parent] for column in index] + [child], total[parent] + values[child])
 
     yield from grow([], np.zeros(1, dtype=values.dtype))
@@ -273,21 +265,34 @@ def _unit_window(lo: float, hi: float, scale: int) -> tuple[int, int]:
     return math.ceil(lo * scale - 1e-9), math.floor(hi * scale + 1e-9)
 
 
-def _simplex_grid(n: int, lam: float, denom: int):
-    """Grid points on {q in [0,1]^n : sum q = lam}, as chunks of n columns.
+def _best_row(values: np.ndarray, lo: int, hi: int, size: int, tails):
+    """Both searches' exhaustive stage: counts the rows of :func:`_sorted_tuples`,
+    refuses a count over MAX_GRID_POINTS before building any, and scans the
+    chunks, each one's tails given by ``tails(index, total)``.  Returns ``(count,
+    best tail, best row as (index, total))``; the first of equal tails wins.
+    """
+    count = _tuple_count(values, lo, hi, size)
+    if count > MAX_GRID_POINTS:
+        raise SearchSpaceError(f"exhaustive search has {count} rows, over the budget of {MAX_GRID_POINTS}")
+    best_tail, best_row = -1.0, None
+    for index, total in _sorted_tuples(values, lo, hi, size):
+        chunk = tails(index, total)
+        i = int(np.argmax(chunk))
+        if chunk[i] > best_tail:
+            best_tail, best_row = float(chunk[i]), ([column[i] for column in index], total[i])
+    return count, best_tail, best_row
 
-    The first n-1 coordinates run over non-decreasing multiples of
-    1/denom (the tail is permutation-symmetric, so sorted prefixes cover
-    every multiset); the last coordinate is the exact remainder, kept only
-    when it lands in [0,1].  Sums are exact by construction.  Rows come in
-    lexicographic order of the prefix.
+
+def _simplex_point(index, total, lam: float, denom: int) -> list:
+    """The point on {q in [0,1]^n : sum q = lam} of a row of :func:`_sorted_tuples`
+    over 0..denom, or the columns of a chunk's points: the row's multiples of
+    1/denom (sorted prefixes cover every multiset, as the tail is symmetric),
+    then the exact remainder, clipped into [0,1] against rounding.
     """
     unit = 1.0 / denom
-    lo_units, hi_units = _unit_window(lam - 1.0, lam, denom)
-    for index, total in _sorted_tuples(np.arange(denom + 1), lo_units, hi_units, n - 1):
-        last = lam - total * unit
-        last = np.where(last > 0.0, last, 0.0)  # as max(0.0, last): -0.0 becomes 0.0
-        yield [k * unit for k in index] + [np.where(last < 1.0, last, 1.0)]
+    last = lam - total * unit
+    last = np.where(last > 0.0, last, 0.0)  # as max(0.0, last): -0.0 becomes 0.0
+    return [k * unit for k in index] + [np.where(last < 1.0, last, 1.0)]
 
 
 def _pair_moves(q: list[float]) -> int:
@@ -348,29 +353,19 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     if not 1e-3 <= resolution <= 0.1:
         raise ValueError(f"resolution must be in [1e-3, 0.1], got {resolution}")
     denom = round(1.0 / resolution)
-    size = _tuple_count(np.arange(denom + 1), *_unit_window(lam - 1.0, lam, denom), n - 1)
-    if size > MAX_GRID_POINTS:
-        raise SearchSpaceError(f"simplex grid has {size} points, over the budget of {MAX_GRID_POINTS}")
-    best_tail, best_row = -1.0, None
-    for columns in _simplex_grid(n, lam, denom):
-        p0, p1 = _tail_states(columns)
-        tails = p0 + p1
-        i = int(np.argmax(tails))
-        if tails[i] > best_tail:
-            best_tail, best_row = float(tails[i]), [float(q[i]) for q in columns]
+
+    def tails(index, total):
+        return np.add(*_tail_states(_simplex_point(index, total, lam, denom)))
+
+    size, best_tail, row = _best_row(np.arange(denom + 1), *_unit_window(lam - 1.0, lam, denom), n - 1, tails)
+    best_row = [float(q) for q in _simplex_point(*row, lam, denom)]
     moved, symmetric = list(best_row), [lam / n] * n
     moves = _pair_moves(moved) + _pair_moves(symmetric)
     # the first of equal tails wins: the grid row only where the moves left
     # it strictly lower, the symmetric start only where strictly higher
     candidates = ((bernoulli_tail(moved), moved), (best_tail, best_row), (bernoulli_tail(symmetric), symmetric))
     max_value, q = max(candidates, key=lambda c: c[0])
-    bound = finite_n_bound(lam, n).value
-    return SearchReport(
-        max_value=max_value,
-        argmax=SimplexPoint(tuple(q), lam),
-        bound_value=bound,
-        points_evaluated=size + moves,
-    )
+    return SearchReport(max_value, SimplexPoint(tuple(q), lam), finite_n_bound(lam, n).value, size + moves)
 
 
 def two_point_tail(summands: Sequence[TwoPoint]) -> float:
@@ -457,26 +452,15 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     denom = round(1.0 / resolution)
     low, high, k, means = _two_point_options(denom)
     lo, hi = _unit_window(lam - resolution, lam + resolution, denom * denom)
-    size = _tuple_count(means, lo, hi, n)
-    if size > MAX_GRID_POINTS:
-        raise SearchSpaceError(f"{size} combinations of {n} two-point specs are over the budget of {MAX_GRID_POINTS}")
     prob = k / denom
     stay = 1.0 - prob
 
-    best_val, best_combo = -1.0, None
-    for index, _ in _sorted_tuples(means, lo, hi, n):
-        tails = _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index], denom)
-        i = int(np.argmax(tails))
-        if tails[i] > best_val:
-            best_val, best_combo = float(tails[i]), [c[i] for c in index]
+    def tails(index, _):
+        return _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index], denom)
+
+    size, best_val, (best_combo, _) = _best_row(means, lo, hi, n, tails)
     argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in best_combo)
-    bound = finite_n_bound(max(0.0, lam - resolution), n).value
-    return SearchReport(
-        max_value=best_val,
-        argmax=argmax,
-        bound_value=bound,
-        points_evaluated=size,
-    )
+    return SearchReport(best_val, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
 
 
 def _sampler(spec: DistSpec) -> Callable[[np.ndarray], np.ndarray]:
@@ -532,7 +516,8 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
     draw of every row would be, so the estimate does not depend on the
     chunking.  Every chunk is drawn into one buffer, which has fewer rows
     above 128 summands, so that it holds at most ``CHUNK_ROWS * 128``
-    uniforms (8 MB) whatever the summand count.
+    uniforms (8 MB) whatever the summand count.  Over MAX_GRID_POINTS draws,
+    trials times summands, it raises SearchSpaceError before any draw.
     """
     if len(specs) == 0:
         raise ValueError("need at least one distribution spec")
@@ -542,6 +527,8 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
         raise ValueError(f"trials and seed must be integers, got {trials} and {seed}") from None
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
+    if trials * len(specs) > MAX_GRID_POINTS:
+        raise SearchSpaceError(f"{trials} trials of {len(specs)} summands are over the budget of {MAX_GRID_POINTS} draws")
     samplers = [_sampler(spec) for spec in specs]
     rng = np.random.Generator(np.random.Philox(seed))
     hits = 0

@@ -7,6 +7,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import pathlib
 import resource
 import subprocess
 import sys
@@ -458,6 +459,18 @@ class TestMcCommand:
         proc = run_cli("mc", "--spec", str(path), *args, "--precision", "17")
         assert proc.returncode == 0
         assert proc.stdout == stdout
+
+    def test_draw_budget(self, monkeypatch, capsys):
+        # the spec has 4 summands, so 1000 trials are 4000 draws
+        from lefttail import oracles
+
+        monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 4000)
+        argv = ["mc", "--spec", str(pathlib.Path(__file__).with_name("data") / "mc_spec.json"), "--trials"]
+        assert main(argv + ["1000"]) == 0
+        assert capsys.readouterr().out == "0.473,0.047365,0.926859,true\n"
+        assert main(argv + ["1001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: 1001 trials of 4 summands are over the budget of 4000 draws\n"
 
     def test_malformed_spec_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -81,6 +81,8 @@ CASES = [
     ["mc", "--spec", "{data}/mc_spec.json", "--trials", "20000", "--seed", "3"],
     ["mc", "--spec", "{data}/mc_spec.json", "--trials", "20000", "--seed", "3", "--precision", "17"],
     ["mc", "--spec", "{data}/mc_spec.json", "--trials", "10"],
+    # trials times summands over the draw budget is refused before any draw
+    ["mc", "--spec", "{data}/mc_spec.json", "--trials", str(2**63)],
     ["mc", "--spec", "{data}/mc_not_objects.json", "--trials", "10000"],
     ["mc", "--spec", "{data}/no-such-spec.json", "--trials", "10000"],
 ]

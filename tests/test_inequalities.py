@@ -17,6 +17,7 @@ from lefttail.bounds import (
     shifted_branch,
 )
 from lefttail import inequalities
+from lefttail.cli import main
 from lefttail.extremal import poisson_tail_at_most_one
 from lefttail.inequalities import (
     CLAIMS,
@@ -290,6 +291,37 @@ class TestGridChecks:
         worst, point, checked = per_n_grid_check(claim, n_max, step)
         assert res.worst_violation.hex() == worst.hex()
         assert (res.worst_point, res.points_checked) == (point, checked)
+
+    @pytest.mark.parametrize("violation, passed, code", [(1e-13, "true", 0), (1e-9, "false", 1)])
+    def test_pass_rule_is_closed_form_tol(self, violation, passed, code, monkeypatch, capsys):
+        # one row whose worst entry lies just above or below CLOSED_FORM_TOL
+        # decides the claim, in the reducer and on its `verify` line
+        rows = inequalities._claim_rows
+
+        def claim_rows(claim, n_max, lambda_step):
+            if claim != "F-mono-n":
+                return rows(claim, n_max, lambda_step)
+            return iter([(np.array([-1.0, violation, 0.0]), lambda i: {"n": 2, "lam": 1.5 + i})])
+
+        monkeypatch.setattr(inequalities, "_claim_rows", claim_rows)
+        res = run_grid_check("F-mono-n", 12, 0.05)
+        assert (res.passed, res.worst_violation, res.worst_point, res.points_checked) == (
+            passed == "true", violation, {"n": 2, "lam": 2.5}, 3
+        )
+        assert main(["verify", "inequalities", "--n-max", "12", "--lambda-step", "0.05"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"F-mono-n,{passed},{violation:.6e},3"
+        assert [line.split(",")[1] for line in lines[1:]] == ["true"] * 6
+
+    @pytest.mark.parametrize("step", [0.001, 0.01, 0.02, 0.05])
+    def test_fg_order_grid_reaches_the_slope_threshold(self, step):
+        # the order is claimed on (1, 2/sqrt(3)): at every n the grid runs
+        # from one step above 1 to its last mean within one step below
+        # the threshold
+        for violations, point in inequalities._claim_rows("FG-order", 4, step):
+            first, last = point(0)["lam"], point(violations.size - 1)["lam"]
+            assert first == 1.0 + step
+            assert SLOPE_THRESHOLD - step <= last < SLOPE_THRESHOLD, (step, last)
 
     def test_run_all_order_and_count(self):
         results = run_all_checks(n_max=10, lambda_step=0.05)

@@ -109,18 +109,49 @@ class TestSimplexPoint:
 class TestSimplexGrid:
     @pytest.mark.parametrize("n, resolution", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (6, 0.05)])
     def test_matches_recursive_reference(self, n, resolution, monkeypatch):
-        # same float bits in the same order, in whole chunks and in chunks
-        # smaller than one parent's children; the count needs no rows
+        # the search's rows mapped to points: same float bits in the same
+        # order, in whole chunks and in chunks smaller than one parent's
+        # children, and one row at a time as the search maps its best row;
+        # the count needs no rows
         denom = round(1.0 / resolution)
+        values = np.arange(denom + 1)
         for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n)):
             ref = recursive_simplex_grid(n, lam, denom)
             window = oracles._unit_window(lam - 1.0, lam, denom)
-            assert oracles._tuple_count(np.arange(denom + 1), *window, n - 1) == len(ref), lam
+            assert oracles._tuple_count(values, *window, n - 1) == len(ref), lam
             for chunk in (oracles.CHUNK_ROWS, 7):
                 monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
-                got = np.concatenate([np.column_stack(c) for c in oracles._simplex_grid(n, lam, denom)])
+                chunks = list(oracles._sorted_tuples(values, *window, n - 1))
+                got = np.concatenate([np.column_stack(oracles._simplex_point(*c, lam, denom)) for c in chunks])
                 assert got.shape == ref.shape, (lam, chunk)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (lam, chunk)
+                start = 0
+                for index, total in chunks:
+                    for i in (0, len(total) - 1):
+                        row = [float(q) for q in oracles._simplex_point([c[i] for c in index], total[i], lam, denom)]
+                        assert np.array_equal(np.array(row).view(np.int64), got[start + i].view(np.int64)), (lam, chunk)
+                    start += len(total)
+
+
+class TestBestRow:
+    def test_first_of_equal_tails_wins(self, monkeypatch):
+        # every chunk ties; the first row of the first chunk is kept
+        monkeypatch.setattr(oracles, "CHUNK_ROWS", 1)
+        values = np.arange(4)
+        count, tail, (index, total) = oracles._best_row(values, 2, 4, 2, lambda index, total: np.zeros(len(total)))
+        assert (count, tail, [int(c) for c in index], int(total)) == (6, 0.0, [0, 2], 2)
+        # (0, 3), (1, 1), (1, 2), (1, 3), (2, 2) follow: the first strictly higher tail replaces it
+        count, tail, (index, total) = oracles._best_row(values, 2, 4, 2, lambda index, total: 1.0 * (index[0] >= 1))
+        assert (count, tail, [int(c) for c in index], int(total)) == (6, 1.0, [1, 1], 2)
+
+    def test_budget_is_checked_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 5)
+
+        def tails(index, total):
+            raise AssertionError("a row was built")
+
+        with pytest.raises(SearchSpaceError, match="^exhaustive search has 6 rows, over the budget of 5$"):
+            oracles._best_row(np.arange(4), 2, 4, 2, tails)
 
 
 class TestTupleCount:
@@ -222,7 +253,20 @@ class TestMaximizeBernoulliTail:
                 rep = maximize_bernoulli_tail(n, lam, 0.1)
                 grid = oracles._tuple_count(np.arange(11), *oracles._unit_window(lam - 1.0, lam, 10), n - 1)
                 pairs = rep.points_evaluated - grid
-                assert pairs < oracles.MAX_PAIR_PASSES * n * (n - 1) // 2, (n, lam)
+                # at least one pass from each of the two starts
+                assert n * (n - 1) <= pairs < oracles.MAX_PAIR_PASSES * n * (n - 1) // 2, (n, lam)
+
+    def test_pair_moves_reach_a_fixed_point(self):
+        # from seeded starts over a range of means, a second call on the
+        # moved point changes no coordinate and evaluates one pass of pairs
+        rng = np.random.default_rng(37)
+        for n in (3, 4, 5, 6):
+            for _ in range(10):
+                q = (rng.uniform(size=n) * rng.uniform(0.2, 1.0)).tolist()
+                oracles._pair_moves(q)
+                settled = list(q)
+                assert oracles._pair_moves(q) == n * (n - 1) // 2, (n, settled)
+                assert q == settled, (n, settled)
 
     def test_argmax_trichotomy_small_grid(self):
         for n in (2, 3, 4):
@@ -635,6 +679,22 @@ class TestMonteCarlo:
         trials = 200_000
         res = monte_carlo_tail(specs, trials, seed=11)
         assert abs(res.estimate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+    def test_draw_budget(self, monkeypatch):
+        # trials times summands over MAX_GRID_POINTS is refused before any
+        # sampler is built; a call at the budget runs
+        specs = [Uniform(0.0, 0.5)] * 3
+        monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 3000)
+        assert 0.0 < monte_carlo_tail(specs, 1000, seed=0).estimate < 1.0
+
+        def sampler(spec):
+            raise AssertionError("a sampler was built")
+
+        monkeypatch.setattr(oracles, "_sampler", sampler)
+        for trials, message in ((1001, "1001 trials of 3 summands are over the budget of 3000 draws"),
+                                (2**63, "9223372036854775808 trials of 3 summands are over the budget of 3000 draws")):
+            with pytest.raises(SearchSpaceError, match=f"^{message}$"):
+                monte_carlo_tail(specs, trials, seed=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
