@@ -47,10 +47,10 @@ MAX_GRID_POINTS = 1_000_000_000
 
 # Rows the exhaustive searches build and evaluate, and Monte Carlo trials
 # drawn and summed, at a time.  Memory then does not grow with the grid or
-# the trial count, and a chunk's arrays stay in cache: 2^13 to 2^14 rows
-# ran fastest for the searches, 2^18 about 40% slower; Monte Carlo over
-# 10^6 trials of 20 summands ran fastest at 2^13 rows, in about 38% of the
-# time of a single draw (231-281 ms against 622-738 ms on a 2-core Xeon).
+# the trial count, and a chunk's arrays stay in cache: the benchmark's four
+# simplex searches took 20 ms at 2^13 rows, 23-24 ms at 2^12 and 2^14 and
+# 39 ms at 2^17 (medians of 8 on a 2-core Xeon); Monte Carlo over 10^6 trials
+# of 20 summands took 231-281 ms at 2^13 rows, against 622-738 ms in one draw.
 CHUNK_ROWS = 1 << 13
 
 # Candidate partial sums one step of the exact-tail convolution may hold:
@@ -186,28 +186,31 @@ def bernoulli_tail(means: Sequence[float]) -> float:
     return p0 + p1
 
 
-def _tail_states(columns):
-    """P(sum = 0) and P(sum = 1) over Bernoulli means given one summand at
-    a time; their sum is the tail P(sum <= 1).
-
-    ``columns`` yields floats, or the columns of an (N, n) array of means
-    for N tails at once.  The recurrence has no division, so means equal
-    to 1 are safe.
+def _tail_states(columns, p0=1.0, p1=0.0):
+    """P(sum = 0) and P(sum = 1), whose sum is the tail P(sum <= 1), over
+    Bernoulli means given one summand at a time after the states ``(p0,
+    p1)`` of any summands before them.  ``columns`` yields floats, or the
+    columns of an (N, n) array of means for N tails and states at once.
+    The recurrence has no division, so means equal to 1 are safe.
     """
-    p0, p1 = 1.0, 0.0
     for q in columns:
-        p1 = p1 * (1.0 - q) + p0 * q
-        p0 = p0 * (1.0 - q)
+        stay = 1.0 - q
+        p1 = p1 * stay + p0 * q
+        p0 = p0 * stay
     return p0, p1
 
 
-def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
+def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
     """Non-decreasing index tuples into the sorted array ``values`` whose
     value sums lie in ``[lo, hi]``, in lexicographic order.
 
-    Yields chunks ``(index, total)`` of at most CHUNK_ROWS rows plus one
-    parent's children: ``index`` is a list of ``size`` index columns and
-    ``total`` holds the rows' value sums.
+    Yields chunks ``(links, state, total)`` of at most CHUNK_ROWS rows plus
+    one parent's children.  ``links`` holds one ``(parent, child)`` pair of
+    arrays per depth, no index column: row g's last index is ``child[g]`` of
+    the last pair, and its others are those of row ``parent[g]`` one depth
+    up.  States are made once per tuple prefix, each by ``step(its parent's
+    states, its last index)`` over a chunk, from the root's ``state``
+    (length-1 arrays); ``total`` holds the rows' value sums.
 
     The tuples grow one index at a time.  With ``rest`` indices still to
     come after the next one, each at least its value and at most
@@ -217,13 +220,10 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
     """
     top = values[-1]
 
-    def grow(index: list, total: np.ndarray):
-        depth = len(index)
-        if depth == size:
-            yield index, total
-            return
+    def grow(links: list, state: tuple, total: np.ndarray):
+        depth = len(links)
         rest = size - depth - 1
-        start = index[-1] if depth else 0
+        start = links[-1][1] if depth else 0
         lb = np.maximum(start, np.searchsorted(values, lo - total - rest * top, side="left"))
         ub = np.searchsorted(values, (hi - total) / (rest + 1), side="right")
         counts = np.maximum(ub - lb, 0)
@@ -237,9 +237,13 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int):
             parent = np.repeat(np.arange(a, b), counts[a:b])
             if parent.size:
                 child = np.arange(ends[b - 1] - parent.size, ends[b - 1]) + shift[parent]
-                yield from grow([column[parent] for column in index] + [child], total[parent] + values[child])
+                children = step(tuple(s[parent] for s in state), child), total[parent] + values[child]
+                if rest:
+                    yield from grow([*links, (parent, child)], *children)
+                else:
+                    yield [*links, (parent, child)], *children
 
-    yield from grow([], np.zeros(1, dtype=values.dtype))
+    yield from grow([], state, np.zeros(1, dtype=values.dtype))
 
 
 def _tuple_count(values: np.ndarray, lo: int, hi: int, size: int) -> int:
@@ -265,21 +269,26 @@ def _unit_window(lo: float, hi: float, scale: int) -> tuple[int, int]:
     return math.ceil(lo * scale - 1e-9), math.floor(hi * scale + 1e-9)
 
 
-def _best_row(values: np.ndarray, lo: int, hi: int, size: int, tails):
+def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state: tuple, step, finish):
     """Both searches' exhaustive stage: counts the rows of :func:`_sorted_tuples`,
-    refuses a count over MAX_GRID_POINTS before building any, and scans the
-    chunks, each one's tails given by ``tails(index, total)``.  Returns ``(count,
+    refuses a count over MAX_GRID_POINTS before building any row or state,
+    and scans the chunks grown from ``state`` by ``step``, each one's tails
+    given by ``finish(its rows' states, their totals)``.  Returns ``(count,
     best tail, best row as (index, total))``; the first of equal tails wins.
     """
     count = _tuple_count(values, lo, hi, size)
     if count > MAX_GRID_POINTS:
         raise SearchSpaceError(f"exhaustive search has {count} rows, over the budget of {MAX_GRID_POINTS}")
     best_tail, best_row = -1.0, None
-    for index, total in _sorted_tuples(values, lo, hi, size):
-        chunk = tails(index, total)
+    for links, leaves, total in _sorted_tuples(values, lo, hi, size, state, step):
+        chunk = finish(leaves, total)
         i = int(np.argmax(chunk))
         if chunk[i] > best_tail:
-            best_tail, best_row = float(chunk[i]), ([column[i] for column in index], total[i])
+            # the row's index traced up the links at once: no chunk outlives its scan
+            best_tail, best_row = float(chunk[i]), ([], total[i])
+            for parent, child in reversed(links):
+                best_row[0].insert(0, child[i])
+                i = parent[i]
     return count, best_tail, best_row
 
 
@@ -353,11 +362,14 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     if not 1e-3 <= resolution <= 0.1:
         raise ValueError(f"resolution must be in [1e-3, 0.1], got {resolution}")
     denom = round(1.0 / resolution)
-
-    def tails(index, total):
-        return np.add(*_tail_states(_simplex_point(index, total, lam, denom)))
-
-    size, best_tail, row = _best_row(np.arange(denom + 1), *_unit_window(lam - 1.0, lam, denom), n - 1, tails)
+    unit, window = 1.0 / denom, _unit_window(lam - 1.0, lam, denom)
+    # a node's states take its last grid column and a leaf's tail the exact
+    # remainder: the operations of _tail_states over the row's _simplex_point
+    size, best_tail, row = _best_row(
+        np.arange(denom + 1), *window, n - 1, (np.ones(1), np.zeros(1)),
+        lambda states, child: _tail_states([child * unit], *states),
+        lambda states, total: np.add(*_tail_states(_simplex_point([], total, lam, denom), *states)),
+    )
     best_row = [float(q) for q in _simplex_point(*row, lam, denom)]
     moved, symmetric = list(best_row), [lam / n] * n
     moves = _pair_moves(moved) + _pair_moves(symmetric)
@@ -458,7 +470,8 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     def tails(index, _):
         return _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index], denom)
 
-    size, best_val, (best_combo, _) = _best_row(means, lo, hi, n, tails)
+    # a node's state is its index columns; only the leaves' are mapped to options
+    size, best_val, (best_combo, _) = _best_row(means, lo, hi, n, (), lambda index, c: (*index, c), tails)
     argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in best_combo)
     return SearchReport(best_val, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
 
@@ -527,6 +540,8 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
         raise ValueError(f"trials and seed must be integers, got {trials} and {seed}") from None
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if trials * len(specs) > MAX_GRID_POINTS:
         raise SearchSpaceError(f"{trials} trials of {len(specs)} summands are over the budget of {MAX_GRID_POINTS} draws")
     samplers = [_sampler(spec) for spec in specs]

@@ -6,10 +6,11 @@ meaningful evidence of correctness.  The
 exceptions are :func:`masked_envelope_values`, the envelope's earlier
 piecewise kernel over the package's branch terms,
 :func:`per_n_grid_check`, which keeps the grid checks' earlier loop
-structure over the package's own kernels, and
+structure over the package's own kernels,
 :func:`searchsorted_inverse_transform`, Monte Carlo's earlier sampler over
-the package's spec types, so that each can be compared bit for bit with its
-replacement.
+the package's spec types, and :func:`per_row_best_row`, the searches'
+earlier exhaustive stage over the package's tail kernels, so that each can
+be compared bit for bit with its replacement.
 """
 
 from __future__ import annotations
@@ -114,6 +115,34 @@ def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
 
     rec(0, 0, 0, [])
     return np.asarray(rows, dtype=float)
+
+
+def per_row_best_row(values: np.ndarray, lo: int, hi: int, size: int, tails) -> tuple:
+    """``(count, best tail, best row as (index, total))`` of the exhaustive
+    stage, with every row built in full: the non-decreasing index tuples into
+    the sorted ``values`` whose value sums lie in ``[lo, hi]``, in
+    lexicographic order, as ``size`` index columns and their sums, then
+    ``tails(index, total)`` over all of them at once.  The first of equal
+    tails wins.
+
+    This is the searches' earlier stage, which ran the whole tail recurrence
+    on every row, kept as the reference for the one that makes each tuple
+    prefix's states once.
+    """
+    top = values[-1]
+    index, total = [], np.zeros(1, dtype=values.dtype)
+    for depth in range(size):
+        rest = size - depth - 1
+        lb = np.maximum(index[-1] if depth else 0, np.searchsorted(values, lo - total - rest * top, side="left"))
+        ub = np.searchsorted(values, (hi - total) / (rest + 1), side="right")
+        counts = np.maximum(ub - lb, 0)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        # each parent's children rise from lb[parent] in the order of the rows
+        child = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent] + lb[parent]
+        index, total = [column[parent] for column in index] + [child], total[parent] + values[child]
+    chunk = tails(index, total)
+    i = int(np.argmax(chunk))
+    return len(total), float(chunk[i]), ([column[i] for column in index], total[i])
 
 
 def multiset_count(values, lo: int, hi: int, size: int) -> int:

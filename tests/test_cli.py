@@ -160,6 +160,11 @@ class TestCompareCommand:
             proc = run_cli(*base, *extra)
             assert proc.returncode == 2 and proc.stdout == "", extra
             assert proc.stderr.startswith("error: ") and name in proc.stderr, proc.stderr
+        # a negative seed passes argparse's int type and is refused by the sampler's set-up
+        spec = str(pathlib.Path(__file__).with_name("data") / "mc_spec.json")
+        proc = run_cli("mc", "--spec", spec, "--trials", "20000", "--seed", "-1")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
 
     def test_row_budget(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "MAX_COMPARE_ROWS", 5)

@@ -17,6 +17,7 @@ from oracle_utils import (
     enum_two_point_tail,
     exact_simplex_volume_tail,
     multiset_count,
+    per_row_best_row,
     recursive_simplex_grid,
     searchsorted_inverse_transform,
 )
@@ -47,6 +48,20 @@ def near_symmetric(q, lam, tol):
 
 def touches_boundary(q, tol):
     return any(v <= tol or v >= 1.0 - tol for v in q)
+
+
+def keep_index(state, child):
+    """A tree step whose state is a node's index columns."""
+    return (*state, child)
+
+
+def traced_index(links, rows):
+    """The index columns of ``rows`` of a chunk of ``_sorted_tuples``, traced
+    up its links as the search traces its best row."""
+    index = []
+    for parent, child in reversed(links):
+        index, rows = [child[rows], *index], parent[rows]
+    return index
 
 
 def traced_peak(call):
@@ -109,10 +124,12 @@ class TestSimplexPoint:
 class TestSimplexGrid:
     @pytest.mark.parametrize("n, resolution", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (6, 0.05)])
     def test_matches_recursive_reference(self, n, resolution, monkeypatch):
-        # the search's rows mapped to points: same float bits in the same
-        # order, in whole chunks and in chunks smaller than one parent's
-        # children, and one row at a time as the search maps its best row;
-        # the count needs no rows
+        # the search's rows mapped to points, each row's index columns
+        # carried as its state: same float bits in the same order, in whole
+        # chunks and in chunks smaller than one parent's children; every
+        # row's index traced up the links as the search traces its best row,
+        # and mapped one at a time as the search maps it; the count needs no
+        # rows
         denom = round(1.0 / resolution)
         values = np.arange(denom + 1)
         for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n)):
@@ -121,14 +138,17 @@ class TestSimplexGrid:
             assert oracles._tuple_count(values, *window, n - 1) == len(ref), lam
             for chunk in (oracles.CHUNK_ROWS, 7):
                 monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
-                chunks = list(oracles._sorted_tuples(values, *window, n - 1))
-                got = np.concatenate([np.column_stack(oracles._simplex_point(*c, lam, denom)) for c in chunks])
+                chunks = list(oracles._sorted_tuples(values, *window, n - 1, (), keep_index))
+                got = np.concatenate([np.column_stack(oracles._simplex_point(c[1], c[2], lam, denom)) for c in chunks])
                 assert got.shape == ref.shape, (lam, chunk)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (lam, chunk)
                 start = 0
-                for index, total in chunks:
+                for links, state, total in chunks:
+                    assert len(links) == len(state) == n - 1, (lam, chunk)
+                    for column, want in zip(traced_index(links, np.arange(len(total))), state, strict=True):
+                        assert np.array_equal(column, want), (lam, chunk)
                     for i in (0, len(total) - 1):
-                        row = [float(q) for q in oracles._simplex_point([c[i] for c in index], total[i], lam, denom)]
+                        row = [float(q) for q in oracles._simplex_point(traced_index(links, i), total[i], lam, denom)]
                         assert np.array_equal(np.array(row).view(np.int64), got[start + i].view(np.int64)), (lam, chunk)
                     start += len(total)
 
@@ -138,20 +158,92 @@ class TestBestRow:
         # every chunk ties; the first row of the first chunk is kept
         monkeypatch.setattr(oracles, "CHUNK_ROWS", 1)
         values = np.arange(4)
-        count, tail, (index, total) = oracles._best_row(values, 2, 4, 2, lambda index, total: np.zeros(len(total)))
+        count, tail, (index, total) = oracles._best_row(
+            values, 2, 4, 2, (), keep_index, lambda state, total: np.zeros(len(total))
+        )
         assert (count, tail, [int(c) for c in index], int(total)) == (6, 0.0, [0, 2], 2)
         # (0, 3), (1, 1), (1, 2), (1, 3), (2, 2) follow: the first strictly higher tail replaces it
-        count, tail, (index, total) = oracles._best_row(values, 2, 4, 2, lambda index, total: 1.0 * (index[0] >= 1))
+        count, tail, (index, total) = oracles._best_row(
+            values, 2, 4, 2, (), keep_index, lambda state, total: 1.0 * (state[0] >= 1)
+        )
         assert (count, tail, [int(c) for c in index], int(total)) == (6, 1.0, [1, 1], 2)
 
     def test_budget_is_checked_before_any_row(self, monkeypatch):
         monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 5)
 
-        def tails(index, total):
-            raise AssertionError("a row was built")
+        def build(*_):
+            raise AssertionError("a row or a state was built")
 
         with pytest.raises(SearchSpaceError, match="^exhaustive search has 6 rows, over the budget of 5$"):
-            oracles._best_row(np.arange(4), 2, 4, 2, tails)
+            oracles._best_row(np.arange(4), 2, 4, 2, (), build, build)
+
+
+def chunk_ids(value):
+    return "chunks=" + "/".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+def seeded_simplex_cases(seed: int, per_n: int) -> list:
+    """``per_n`` seeded ``(n, lam, resolution)`` at each n = 2..6."""
+    rng = np.random.default_rng(seed)
+    return [(n, float(np.round(rng.uniform(0.0, n), 2)), float(rng.choice([0.1, 0.05]))) for n in range(2, 7) for _ in range(per_n)]
+
+
+# (n, lam, resolution, CHUNK_ROWS values): the benchmark's search workload at
+# both means of each mirror pair, in whole chunks and (the simplex) in chunks
+# smaller than one parent's children, then smaller searches down to one
+# parent's children a chunk
+WHOLE, ALL_CHUNKS = (oracles.CHUNK_ROWS,), (oracles.CHUNK_ROWS, 7, 1)
+SIMPLEX_STAGES = [(3, 1.4, 0.002), (3, 1.6, 0.002), (4, 1.7, 0.01), (4, 2.3, 0.01)]
+SIMPLEX_STAGES += [(5, 2.2, 0.02), (5, 2.8, 0.02), (6, 2.5, 1 / 30), (6, 3.5, 1 / 30)]
+SIMPLEX_STAGES = [(*case, WHOLE + (7,)) for case in SIMPLEX_STAGES]
+SIMPLEX_STAGES += [(*case, ALL_CHUNKS) for case in seeded_simplex_cases(1717, 6)]
+TWO_POINT_STAGES = [(2, 1.5, 0.05), (3, 4 / 3, 1 / 6), (3, 5 / 3, 1 / 6), (3, 1.25, 0.125), (3, 1.75, 0.125)]
+TWO_POINT_STAGES = [(*case, WHOLE) for case in TWO_POINT_STAGES]
+TWO_POINT_STAGES += [(2, 0.3, 0.1, ALL_CHUNKS), (3, 1.5, 0.25, ALL_CHUNKS), (4, 2.6, 0.25, ALL_CHUNKS)]
+
+
+class TestFoldedStage:
+    """Each tree node's tail states are made once, yet every search keeps
+    the per-row stage's count, best tail and best row bit for bit."""
+
+    @pytest.mark.parametrize("n, lam, resolution, chunks", SIMPLEX_STAGES, ids=chunk_ids)
+    def test_simplex_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
+        denom = round(1.0 / resolution)
+
+        def tails(index, total):
+            return np.add(*oracles._tail_states(oracles._simplex_point(index, total, lam, denom)))
+
+        want_count, want_tail, (want_index, want_total) = per_row_best_row(
+            np.arange(denom + 1), *oracles._unit_window(lam - 1.0, lam, denom), n - 1, tails
+        )
+        want_row = [float(q).hex() for q in oracles._simplex_point(want_index, want_total, lam, denom)]
+        stages, best_row = [], oracles._best_row
+        monkeypatch.setattr(oracles, "_best_row", lambda *args: stages.append(best_row(*args)) or stages[-1])
+        for chunk in chunks:
+            monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+            rep = maximize_bernoulli_tail(n, lam, resolution)
+            count, tail, (index, total) = stages.pop()
+            assert (count, tail.hex()) == (want_count, want_tail.hex()), chunk
+            assert [int(c) for c in index] == [int(c) for c in want_index] and total == want_total, chunk
+            assert [float(q).hex() for q in oracles._simplex_point(index, total, lam, denom)] == want_row, chunk
+            assert rep.points_evaluated >= count and rep.max_value >= tail
+
+    @pytest.mark.parametrize("n, lam, resolution, chunks", TWO_POINT_STAGES, ids=chunk_ids)
+    def test_two_point_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
+        denom = round(1.0 / resolution)
+        low, high, k, means = oracles._two_point_options(denom)
+        prob = k / denom
+
+        def tails(index, _):
+            return oracles._two_point_tails([((low[c], 1.0 - prob[c]), (high[c], prob[c])) for c in index], denom)
+
+        window = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
+        count, tail, (index, _) = per_row_best_row(means, *window, n, tails)
+        argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in index)
+        for chunk in chunks:
+            monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+            rep = maximize_two_point(n, lam, resolution)
+            assert (rep.max_value.hex(), rep.argmax, rep.points_evaluated) == (tail.hex(), argmax, count), chunk
 
 
 class TestTupleCount:
@@ -179,7 +271,7 @@ class TestTupleCount:
                 count = oracles._tuple_count(means, lo, hi, n)
                 for chunk in (oracles.CHUNK_ROWS, 7):
                     monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
-                    rows = sum(len(total) for _, total in oracles._sorted_tuples(means, lo, hi, n))
+                    rows = sum(len(c[-1]) for c in oracles._sorted_tuples(means, lo, hi, n, (), keep_index))
                     assert count == rows, (n, lam, chunk)
 
     def test_validated_extremes_do_not_overflow(self):
@@ -704,6 +796,8 @@ class TestMonteCarlo:
         for trials, seed in [(1500.5, 0), (math.nan, 0), (2000, 0.5)]:
             with pytest.raises(ValueError):
                 monte_carlo_tail([Uniform(0.0, 1.0)], trials, seed)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            monte_carlo_tail([Uniform(0.0, 1.0)], 2000, -1)
 
     def test_estimate_respects_bound_on_random_mixes(self):
         rng = np.random.default_rng(2024)
