@@ -66,14 +66,18 @@ def _check_mean(lam: float) -> None:
         raise ValueError(f"mean must be finite and non-negative, got {lam}")
 
 
+def _integer(x, message: str) -> int:
+    """``x`` as an int if it has ``__index__``, else ``ValueError(message)``."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(message) from None
+
+
 def _check_n(n: int) -> None:
     """Reject a non-integer n (None included), one below 1 and one that a
-    double cannot hold; anything with ``__index__`` is an integer."""
-    try:
-        operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be a positive integer, got {n}") from None
-    if n < 1:
+    double cannot hold."""
+    if _integer(n, f"n must be a positive integer, got {n}") < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if n > sys.float_info.max:
         raise ValueError(f"n must be at most {sys.float_info.max:g}, got {n}")

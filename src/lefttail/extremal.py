@@ -10,11 +10,10 @@ improved.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from typing import NamedTuple
 
-from lefttail.bounds import _check_mean, _check_query, _check_shifted_domain, _poisson_term
+from lefttail.bounds import _check_mean, _check_query, _check_shifted_domain, _integer, _poisson_term
 from lefttail.bounds import binomial_branch, shifted_branch
 
 __all__ = [
@@ -46,10 +45,7 @@ class BinomialSpec(_Binomial):
     def __new__(cls, p: float, trials: int, shift: int = 0) -> BinomialSpec:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"success probability must be in [0,1], got {p}")
-        try:
-            trials = operator.index(trials)
-        except TypeError:
-            raise ValueError(f"trial count must be an integer, got {trials}") from None
+        trials = _integer(trials, f"trial count must be an integer, got {trials}")
         if not 0 <= trials <= sys.float_info.max:
             raise ValueError(f"trial count must be non-negative and at most {sys.float_info.max:g}, got {trials}")
         if shift not in (0, 1):
@@ -70,7 +66,8 @@ class TightnessReport(NamedTuple):
 
 
 def binomial_pmf(spec: BinomialSpec, k: int) -> float:
-    """P(V = k) for V ~ shift + binomial(p, trials); 0 outside the support.
+    """P(V = k) for V ~ shift + binomial(p, trials); 0 outside the support,
+    and a ValueError for a k that is not an integer.
 
     One route for every trial count m: the log of the exact integer
     coefficient C(m, j) plus j log p + (m - j) log1p(-p), exponentiated
@@ -84,7 +81,7 @@ def binomial_pmf(spec: BinomialSpec, k: int) -> float:
     at large m is slow: about 3 ms at m = 10^4, k = 5000, and 0.2 s at
     m = 10^5, k = 5 * 10^4.
     """
-    j = k - spec.shift
+    j = _integer(k, f"outcome k must be an integer, got {k}") - spec.shift
     m = spec.trials
     if j < 0 or j > m:
         return 0.0

@@ -10,13 +10,12 @@ respect the bound empirically (seeded Monte Carlo).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from lefttail.bounds import _check_query, finite_n_bound
+from lefttail.bounds import _check_query, _integer, finite_n_bound
 
 __all__ = [
     "SimplexPoint",
@@ -204,13 +203,13 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
     """Non-decreasing index tuples into the sorted array ``values`` whose
     value sums lie in ``[lo, hi]``, in lexicographic order.
 
-    Yields chunks ``(links, state, total)`` of at most CHUNK_ROWS rows plus
+    Yields chunks ``(links, states, total)`` of at most CHUNK_ROWS rows plus
     one parent's children.  ``links`` holds one ``(parent, child)`` pair of
     arrays per depth, no index column: row g's last index is ``child[g]`` of
     the last pair, and its others are those of row ``parent[g]`` one depth
-    up.  States are made once per tuple prefix, each by ``step(its parent's
-    states, its last index)`` over a chunk, from the root's ``state``
-    (length-1 arrays); ``total`` holds the rows' value sums.
+    up.  ``states`` holds the rows' parents' states, made once per node
+    above the leaves by ``step(its parent's states, its last index)`` from
+    the root's ``state`` (length-1 arrays); ``total`` the rows' value sums.
 
     The tuples grow one index at a time.  With ``rest`` indices still to
     come after the next one, each at least its value and at most
@@ -237,11 +236,12 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
             parent = np.repeat(np.arange(a, b), counts[a:b])
             if parent.size:
                 child = np.arange(ends[b - 1] - parent.size, ends[b - 1]) + shift[parent]
-                children = step(tuple(s[parent] for s in state), child), total[parent] + values[child]
+                states, sums = tuple(s[parent] for s in state), total[parent] + values[child]
                 if rest:
-                    yield from grow([*links, (parent, child)], *children)
+                    states = step(states, child)  # frees the gathered states before the depth below
+                    yield from grow([*links, (parent, child)], states, sums)
                 else:
-                    yield [*links, (parent, child)], *children
+                    yield [*links, (parent, child)], states, sums
 
     yield from grow([], state, np.zeros(1, dtype=values.dtype))
 
@@ -272,16 +272,17 @@ def _unit_window(lo: float, hi: float, scale: int) -> tuple[int, int]:
 def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state: tuple, step, finish):
     """Both searches' exhaustive stage: counts the rows of :func:`_sorted_tuples`,
     refuses a count over MAX_GRID_POINTS before building any row or state,
-    and scans the chunks grown from ``state`` by ``step``, each one's tails
-    given by ``finish(its rows' states, their totals)``.  Returns ``(count,
-    best tail, best row as (index, total))``; the first of equal tails wins.
+    and scans the chunks grown from ``state`` by ``step``, scoring each by
+    ``finish(its rows' parents' states, last indices, totals)``.  Returns
+    ``(count, best tail, best row as (index, total))``; the first of equal
+    tails wins.
     """
     count = _tuple_count(values, lo, hi, size)
     if count > MAX_GRID_POINTS:
         raise SearchSpaceError(f"exhaustive search has {count} rows, over the budget of {MAX_GRID_POINTS}")
     best_tail, best_row = -1.0, None
-    for links, leaves, total in _sorted_tuples(values, lo, hi, size, state, step):
-        chunk = finish(leaves, total)
+    for links, states, total in _sorted_tuples(values, lo, hi, size, state, step):
+        chunk = finish(states, links[-1][1], total)
         i = int(np.argmax(chunk))
         if chunk[i] > best_tail:
             # the row's index traced up the links at once: no chunk outlives its scan
@@ -363,12 +364,12 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
         raise ValueError(f"resolution must be in [1e-3, 0.1], got {resolution}")
     denom = round(1.0 / resolution)
     unit, window = 1.0 / denom, _unit_window(lam - 1.0, lam, denom)
-    # a node's states take its last grid column and a leaf's tail the exact
-    # remainder: the operations of _tail_states over the row's _simplex_point
+    # a node's states take its last grid column, a leaf's tail its last column
+    # and the exact remainder: the operations of _tail_states over the row's _simplex_point
     size, best_tail, row = _best_row(
         np.arange(denom + 1), *window, n - 1, (np.ones(1), np.zeros(1)),
         lambda states, child: _tail_states([child * unit], *states),
-        lambda states, total: np.add(*_tail_states(_simplex_point([], total, lam, denom), *states)),
+        lambda states, child, total: np.add(*_tail_states([child * unit, *_simplex_point([], total, lam, denom)], *states)),
     )
     best_row = [float(q) for q in _simplex_point(*row, lam, denom)]
     moved, symmetric = list(best_row), [lam / n] * n
@@ -427,23 +428,6 @@ def _two_point_options(denom: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return low[order], high[order], prob[order], means[order]
 
 
-def _two_point_tails(summands: list, denom: int) -> np.ndarray:
-    """Exact P(sum <= 1) for rows of independent two-point summands.
-
-    ``summands`` holds, for each summand, its two outcomes as ``(value,
-    probability)`` arrays over the rows, values in grid units of 1/denom.
-    The outcomes of all summands but the first are combined into one list,
-    which is thresholded exactly against each outcome of the first.  These
-    rows of at most 4 exact integer summands need none of the merging of
-    equal sums that :func:`_atoms_tail` does over one long float sum.
-    """
-    first, *others = summands
-    rest = others[0]
-    for outcomes in others[1:]:
-        rest = [(v + w, p * q) for v, p in rest for w, q in outcomes]
-    return sum(prob * sum(p * (v <= denom - value) for v, p in rest) for value, prob in first)
-
-
 def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     """Discretised search over two-point summands at (approximately) fixed mean.
 
@@ -466,12 +450,21 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     lo, hi = _unit_window(lam - resolution, lam + resolution, denom * denom)
     prob = k / denom
     stay = 1.0 - prob
+    # outcome values reach n * denom <= 80 grid units: int16 holds them in a
+    # quarter of int64's bytes, which raised four searches' peak RSS by 1.2 MB
+    low, high = low.astype(np.int16), high.astype(np.int16)
 
-    def tails(index, _):
-        return _two_point_tails([((low[c], stay[c]), (high[c], prob[c])) for c in index], denom)
+    def step(states, c):
+        pairs = (low[c], stay[c]), (high[c], prob[c])
+        return tuple(x for v, p in zip(states[::2], states[1::2]) for w, q in pairs for x in (v + w, p * q))
 
-    # a node's state is its index columns; only the leaves' are mapped to options
-    size, best_val, (best_combo, _) = _best_row(means, lo, hi, n, (), lambda index, c: (*index, c), tails)
+    def finish(states, c, _):
+        a, b, s, p = low[c], high[c], stay[c], prob[c]
+        return sum(q * (s * (a <= r) + p * (b <= r)) for r, q in zip([denom - v for v in states[::2]], states[1::2]))
+
+    # a node's state is its prefix's outcomes, values and probabilities
+    # alternating; a leaf's tail thresholds its last summand against them
+    size, best_val, (best_combo, _) = _best_row(means, lo, hi, n, (np.zeros(1, dtype=np.int16), np.ones(1)), step, finish)
     argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in best_combo)
     return SearchReport(best_val, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
 
@@ -534,10 +527,8 @@ def monte_carlo_tail(specs: Sequence[DistSpec], trials: int, seed: int) -> McEst
     """
     if len(specs) == 0:
         raise ValueError("need at least one distribution spec")
-    try:
-        trials, seed = operator.index(trials), operator.index(seed)
-    except TypeError:
-        raise ValueError(f"trials and seed must be integers, got {trials} and {seed}") from None
+    message = f"trials and seed must be integers, got {trials} and {seed}"
+    trials, seed = _integer(trials, message), _integer(seed, message)
     if trials < 1000:
         raise ValueError(f"need at least 1000 trials, got {trials}")
     if seed < 0:

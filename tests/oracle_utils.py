@@ -8,9 +8,10 @@ piecewise kernel over the package's branch terms,
 :func:`per_n_grid_check`, which keeps the grid checks' earlier loop
 structure over the package's own kernels,
 :func:`searchsorted_inverse_transform`, Monte Carlo's earlier sampler over
-the package's spec types, and :func:`per_row_best_row`, the searches'
-earlier exhaustive stage over the package's tail kernels, so that each can
-be compared bit for bit with its replacement.
+the package's spec types, :func:`per_row_best_row`, the searches' earlier
+exhaustive stage over the package's tail kernels, and
+:func:`per_row_two_point_tails`, the two-point search's earlier row kernel,
+so that each can be compared bit for bit with its replacement.
 """
 
 from __future__ import annotations
@@ -143,6 +144,24 @@ def per_row_best_row(values: np.ndarray, lo: int, hi: int, size: int, tails) -> 
     chunk = tails(index, total)
     i = int(np.argmax(chunk))
     return len(total), float(chunk[i]), ([column[i] for column in index], total[i])
+
+
+def per_row_two_point_tails(summands: list, denom: int) -> np.ndarray:
+    """Exact P(sum <= 1) for rows of independent two-point summands.
+
+    ``summands`` holds, for each summand, its two outcomes as ``(value,
+    probability)`` arrays over the rows, values in grid units of 1/denom.
+    The outcomes of all summands but the first are combined into one list,
+    which is thresholded exactly against each outcome of the first.  This
+    is the two-point search's earlier kernel, which scored every row whole,
+    kept as the reference for the one that folds each prefix's outcomes
+    down the tree: the same sums, added first summand first.
+    """
+    first, *others = summands
+    rest = others[0]
+    for outcomes in others[1:]:
+        rest = [(v + w, p * q) for v, p in rest for w, q in outcomes]
+    return sum(prob * sum(p * (v <= denom - value) for v, p in rest) for value, prob in first)
 
 
 def multiset_count(values, lo: int, hi: int, size: int) -> int:

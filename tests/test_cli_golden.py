@@ -70,6 +70,10 @@ CASES = [
     ["verify", "lemma4", "--n", "3", "--lambda", "1.5", "--resolution", "0.1"],
     ["verify", "lemma4", "--n", "3", "--lambda", "1.5", "--resolution", "nan"],
     ["verify", "two-point", "--n", "2", "--lambda", "1.2", "--resolution", "0.1"],
+    # three and four summands, where a row's tail sums over its prefix's outcomes
+    ["verify", "two-point", "--n", "3", "--lambda", "1.25", "--resolution", "0.125"],
+    ["verify", "two-point", "--n", "4", "--lambda", "2.6", "--resolution", "0.25"],
+    ["verify", "two-point", "--n", "3", "--lambda", "0.697", "--resolution", "0.1"],
     ["verify", "two-point", "--n", "9", "--lambda", "1.2", "--resolution", "0.1"],
     ["verify", "inequalities"],
     ["verify", "inequalities", "--n-max", "12", "--lambda-step", "0.7"],

@@ -56,6 +56,12 @@ class TestBinomialPmf:
         assert binomial_pmf(BinomialSpec(0.37, 4, shift=1), 0) == 0.0
         assert binomial_pmf(BinomialSpec(0.37, 4), -1) == 0.0
 
+    @pytest.mark.parametrize("p, k", [(0.0, math.nan), (0.5, math.inf), (0.0, 0.0), (1.0, 5.5), (0.5, 2.0)])
+    def test_non_integer_k_rejected(self, p, k):
+        # each once gave 0.0, 1.0 or a TypeError instead of naming the bad k
+        with pytest.raises(ValueError, match=r"^outcome k must be an integer, got "):
+            binomial_pmf(BinomialSpec(p, 10), k)
+
     def test_degenerate_point_masses(self):
         assert binomial_pmf(BinomialSpec(0.0, 3, shift=1), 1) == 1.0
         assert binomial_pmf(BinomialSpec(0.0, 3, shift=1), 2) == 0.0

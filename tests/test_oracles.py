@@ -18,6 +18,7 @@ from oracle_utils import (
     exact_simplex_volume_tail,
     multiset_count,
     per_row_best_row,
+    per_row_two_point_tails,
     recursive_simplex_grid,
     searchsorted_inverse_transform,
 )
@@ -51,7 +52,8 @@ def touches_boundary(q, tol):
 
 
 def keep_index(state, child):
-    """A tree step whose state is a node's index columns."""
+    """A tree step whose state is a node's index columns: a leaf chunk's
+    states are then its parents' columns, all of its index but the last."""
     return (*state, child)
 
 
@@ -124,12 +126,13 @@ class TestSimplexPoint:
 class TestSimplexGrid:
     @pytest.mark.parametrize("n, resolution", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (6, 0.05)])
     def test_matches_recursive_reference(self, n, resolution, monkeypatch):
-        # the search's rows mapped to points, each row's index columns
-        # carried as its state: same float bits in the same order, in whole
-        # chunks and in chunks smaller than one parent's children; every
-        # row's index traced up the links as the search traces its best row,
-        # and mapped one at a time as the search maps it; the count needs no
-        # rows
+        # the search's rows mapped to points, each node's index columns
+        # carried as its state and a leaf's last index taken from the links,
+        # as the search's finish takes it: same float bits in the same order,
+        # in whole chunks and in chunks smaller than one parent's children;
+        # every row's index traced up the links as the search traces its best
+        # row, and mapped one at a time as the search maps it; the count
+        # needs no rows
         denom = round(1.0 / resolution)
         values = np.arange(denom + 1)
         for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n)):
@@ -138,14 +141,17 @@ class TestSimplexGrid:
             assert oracles._tuple_count(values, *window, n - 1) == len(ref), lam
             for chunk in (oracles.CHUNK_ROWS, 7):
                 monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
-                chunks = list(oracles._sorted_tuples(values, *window, n - 1, (), keep_index))
+                chunks = [
+                    (links, [*states, links[-1][1]], total)
+                    for links, states, total in oracles._sorted_tuples(values, *window, n - 1, (), keep_index)
+                ]
                 got = np.concatenate([np.column_stack(oracles._simplex_point(c[1], c[2], lam, denom)) for c in chunks])
                 assert got.shape == ref.shape, (lam, chunk)
                 assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (lam, chunk)
                 start = 0
-                for links, state, total in chunks:
-                    assert len(links) == len(state) == n - 1, (lam, chunk)
-                    for column, want in zip(traced_index(links, np.arange(len(total))), state, strict=True):
+                for links, index, total in chunks:
+                    assert len(links) == len(index) == n - 1, (lam, chunk)
+                    for column, want in zip(traced_index(links, np.arange(len(total))), index, strict=True):
                         assert np.array_equal(column, want), (lam, chunk)
                     for i in (0, len(total) - 1):
                         row = [float(q) for q in oracles._simplex_point(traced_index(links, i), total[i], lam, denom)]
@@ -159,12 +165,12 @@ class TestBestRow:
         monkeypatch.setattr(oracles, "CHUNK_ROWS", 1)
         values = np.arange(4)
         count, tail, (index, total) = oracles._best_row(
-            values, 2, 4, 2, (), keep_index, lambda state, total: np.zeros(len(total))
+            values, 2, 4, 2, (), keep_index, lambda state, child, total: np.zeros(len(total))
         )
         assert (count, tail, [int(c) for c in index], int(total)) == (6, 0.0, [0, 2], 2)
         # (0, 3), (1, 1), (1, 2), (1, 3), (2, 2) follow: the first strictly higher tail replaces it
         count, tail, (index, total) = oracles._best_row(
-            values, 2, 4, 2, (), keep_index, lambda state, total: 1.0 * (state[0] >= 1)
+            values, 2, 4, 2, (), keep_index, lambda state, child, total: 1.0 * (state[0] >= 1)
         )
         assert (count, tail, [int(c) for c in index], int(total)) == (6, 1.0, [1, 1], 2)
 
@@ -200,6 +206,23 @@ SIMPLEX_STAGES += [(*case, ALL_CHUNKS) for case in seeded_simplex_cases(1717, 6)
 TWO_POINT_STAGES = [(2, 1.5, 0.05), (3, 4 / 3, 1 / 6), (3, 5 / 3, 1 / 6), (3, 1.25, 0.125), (3, 1.75, 0.125)]
 TWO_POINT_STAGES = [(*case, WHOLE) for case in TWO_POINT_STAGES]
 TWO_POINT_STAGES += [(2, 0.3, 0.1, ALL_CHUNKS), (3, 1.5, 0.25, ALL_CHUNKS), (4, 2.6, 0.25, ALL_CHUNKS)]
+# seeded searches past two summands, then two whose best tail moved by an ulp
+TWO_POINT_SEEDED = [(n, float(np.round(lam, 3)), res) for n in (3, 4) for lam, res in zip(
+    np.random.default_rng(1919).uniform(0.0, n, size=6), (0.25, 1 / 3, 0.5) * 2)]
+TWO_POINT_SEEDED += [(3, 0.136, 0.2), (3, 2.495, 1 / 6)]
+
+
+def per_row_two_point(denom: int) -> tuple:
+    """The two-point options ``(low, high, prob, means)`` at resolution
+    1/denom, and ``tails(index, total)`` of rows of them by the per-row
+    kernel."""
+    low, high, k, means = oracles._two_point_options(denom)
+    prob = k / denom
+
+    def tails(index, _):
+        return per_row_two_point_tails([((low[c], 1.0 - prob[c]), (high[c], prob[c])) for c in index], denom)
+
+    return (low, high, prob, means), tails
 
 
 class TestFoldedStage:
@@ -231,12 +254,7 @@ class TestFoldedStage:
     @pytest.mark.parametrize("n, lam, resolution, chunks", TWO_POINT_STAGES, ids=chunk_ids)
     def test_two_point_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
         denom = round(1.0 / resolution)
-        low, high, k, means = oracles._two_point_options(denom)
-        prob = k / denom
-
-        def tails(index, _):
-            return oracles._two_point_tails([((low[c], 1.0 - prob[c]), (high[c], prob[c])) for c in index], denom)
-
+        (low, high, prob, means), tails = per_row_two_point(denom)
         window = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
         count, tail, (index, _) = per_row_best_row(means, *window, n, tails)
         argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in index)
@@ -244,6 +262,27 @@ class TestFoldedStage:
             monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
             rep = maximize_two_point(n, lam, resolution)
             assert (rep.max_value.hex(), rep.argmax, rep.points_evaluated) == (tail.hex(), argmax, count), chunk
+
+    @pytest.mark.parametrize("n, lam, resolution", TWO_POINT_SEEDED)
+    def test_two_point_within_two_ulps_of_per_row_stage(self, n, lam, resolution, monkeypatch):
+        # past two summands a row's tail is added prefix first rather than
+        # first summand first, so a tail may move by rounding: the count is
+        # kept, and the best tail and the best row's per-row tail are within
+        # 2 ulps of the per-row stage's best
+        denom = round(1.0 / resolution)
+        (*_, means), tails = per_row_two_point(denom)
+        window = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
+        want_count, want_tail, _ = per_row_best_row(means, *window, n, tails)
+        stages, best_row = [], oracles._best_row
+        monkeypatch.setattr(oracles, "_best_row", lambda *args: stages.append(best_row(*args)) or stages[-1])
+        for chunk in ALL_CHUNKS:
+            monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+            rep = maximize_two_point(n, lam, resolution)
+            count, tail, (index, _) = stages.pop()
+            row_tail = float(tails([np.array([c]) for c in index], None)[0])
+            assert rep.points_evaluated == count == want_count, chunk
+            assert (rep.max_value, len(rep.argmax)) == (tail, n), chunk
+            assert max(abs(tail - want_tail), abs(row_tail - want_tail)) <= 2 * math.ulp(want_tail), chunk
 
 
 class TestTupleCount:

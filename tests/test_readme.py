@@ -34,7 +34,7 @@ LIBRARY_EXAMPLES = _pairs("lt.", "# ")
 
 
 def test_examples_are_found():
-    assert len(CLI_EXAMPLES) == 3
+    assert len(CLI_EXAMPLES) == 5
     assert [line for line, _ in LIBRARY_EXAMPLES][0] == "lt.finite_n_bound(2.0, 4)"
 
 
