@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lefttail.bounds import CLOSED_FORM_TOL, _binomial_term, _check_mean, _check_n, _envelope_values, _shifted_term
+from lefttail.bounds import CLOSED_FORM_TOL, _binomial_term, _check_mean, _check_n, _envelope_values, _pow_one_minus, _shifted_term
 
 __all__ = [
     "CLAIMS",
@@ -121,8 +121,7 @@ def crossover_threshold(n: int) -> float:
     _check_n(n)
     if n < 2:
         raise ValueError(f"crossover threshold needs n >= 2, got {n}")
-    ratio = n / (n - 1.0)
-    return math.exp(n * math.log1p(1.0 / (n - 1.0))) - ratio
+    return _pow_one_minus(-1.0 / (n - 1.0), n) - n / (n - 1.0)
 
 
 def _lam_grid(lo: float, hi: float, step: float, include_hi: bool = False) -> np.ndarray:

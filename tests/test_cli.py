@@ -477,6 +477,13 @@ class TestMcCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: 1001 trials of 4 summands are over the budget of 4000 draws\n"
 
+    def test_mean_rounded_above_n_is_capped(self):
+        # the probabilities sum to 1 + 1e-13, within the 1e-12 that Discrete
+        # accepts, so the float mean is 1.0000000000001 at n = 1
+        spec = pathlib.Path(__file__).with_name("data") / "mc_mean_overshoot.json"
+        proc = run_cli("mc", "--spec", str(spec), "--trials", "1000")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.0,0.0,1.0,true\n", "")
+
     def test_malformed_spec_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

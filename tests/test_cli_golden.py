@@ -88,6 +88,9 @@ CASES = [
     ["mc", "--spec", "{data}/mc_spec.json", "--trials", "20000", "--seed", "-1"],
     # trials times summands over the draw budget is refused before any draw
     ["mc", "--spec", "{data}/mc_spec.json", "--trials", str(2**63)],
+    # probabilities that sum to 1 within 1e-12 give a float mean just above n;
+    # the bound is taken at the mean capped at n
+    ["mc", "--spec", "{data}/mc_mean_overshoot.json", "--trials", "1000"],
     ["mc", "--spec", "{data}/mc_not_objects.json", "--trials", "10000"],
     ["mc", "--spec", "{data}/no-such-spec.json", "--trials", "10000"],
 ]

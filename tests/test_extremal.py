@@ -140,6 +140,20 @@ class TestTailAtMostOne:
         assert tail_at_most_one(BinomialSpec(0.0, 9)) == 1.0
 
 
+class TestBinomialSpecTuple:
+    def test_tuple_api(self):
+        spec = BinomialSpec(0.25, np.int64(4))
+        assert BinomialSpec._fields == ("p", "trials", "shift")
+        assert spec == (0.25, 4, 0) and (0.25, 4, 0) == spec and hash(spec) == hash((0.25, 4, 0))
+        assert type(spec.trials) is int
+        p, trials, shift = spec
+        assert (p, trials, shift) == (0.25, 4, 0) and spec.mean() == 1.0
+        assert repr(spec) == "BinomialSpec(p=0.25, trials=4, shift=0)"
+        assert repr(BinomialSpec(0.5, 3, shift=1)) == "BinomialSpec(p=0.5, trials=3, shift=1)"
+        assert spec._replace(shift=1) == (0.25, 4, 1)
+        assert not hasattr(spec, "__dict__")
+
+
 class TestExtremalForBranch:
     def test_first_branch_spec(self):
         spec = extremal_for_branch(2.0, 4, "first-max-term")

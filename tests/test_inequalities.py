@@ -136,6 +136,12 @@ class TestCrossoverThreshold:
     def test_large_count_limit(self):
         assert crossover_threshold(10**6) == pytest.approx(math.e - 1.0, abs=1e-5)
 
+    def test_bits_of_the_log1p_form(self):
+        # (n/(n-1))^n is _pow_one_minus at x = -1/(n-1): the float operations
+        # of exp(n log1p(1/(n-1))), so every threshold keeps its bits
+        for n in (*range(2, 2001), *(10**k for k in range(4, 16)), *(2**k + 1 for k in range(11, 50))):
+            assert crossover_threshold(n) == math.exp(n * math.log1p(1.0 / (n - 1.0))) - n / (n - 1.0), n
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             crossover_threshold(1)
@@ -312,6 +318,17 @@ class TestGridChecks:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == f"F-mono-n,{passed},{violation:.6e},3"
         assert [line.split(",")[1] for line in lines[1:]] == ["true"] * 6
+
+    def test_u_nonneg_points_map_into_their_block(self):
+        # entry k of a block of 64 means lies at the block's mean k // 999
+        # and at x = (k % 999 + 1) / 1000; the worst point of a whole run is
+        # a block's first mean, so the per-n comparison cannot see this map
+        lams = inequalities._lam_grid(SLOPE_THRESHOLD, 3.0, 0.01, True)
+        rows = list(inequalities._claim_rows("u-nonneg", 3, 0.01))
+        assert len(rows) == 3 and lams.size == 185
+        for r, (violations, point) in enumerate(rows):
+            for k in (0, 998, 999, violations.size - 1):
+                assert point(k) == {"lam": float(lams[64 * r + k // 999]), "x": (k % 999 + 1) / 1000}, (r, k)
 
     @pytest.mark.parametrize("step", [0.001, 0.01, 0.02, 0.05])
     def test_fg_order_grid_reaches_the_slope_threshold(self, step):

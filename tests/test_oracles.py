@@ -135,7 +135,9 @@ class TestSimplexGrid:
         # needs no rows
         denom = round(1.0 / resolution)
         values = np.arange(denom + 1)
-        for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n)):
+        # at denom 10, 12 * 0.1 = 1.2000000000000002 leaves the row of total 2
+        # a remainder of 1.0000000000000002, which is clipped to 1
+        for lam in (0.0, 0.35, 1.0, 1.37, n - 1.37, n / 2, 2 / 3, n - 0.35, float(n), 12 * 0.1):
             ref = recursive_simplex_grid(n, lam, denom)
             window = oracles._unit_window(lam - 1.0, lam, denom)
             assert oracles._tuple_count(values, *window, n - 1) == len(ref), lam

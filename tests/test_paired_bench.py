@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import pathlib
@@ -70,3 +71,28 @@ def test_arguments_follow_the_benchmark(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit, match="^error: a record added with --into needs at least 10 seeds, got 9$"):
         paired_bench.main([*base, "--seeds", "1", "9", "--into", str(path)])
     assert path.read_text() == '{\n  "label": "x"\n}\n'
+
+
+def test_both_trees_are_compiled_before_any_run(tmp_path, monkeypatch, capsys):
+    # runs write no bytecode where PYTHONDONTWRITEBYTECODE is set, so each
+    # tree's src and perfbench are compiled once, before the first pair
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    trees = [tmp_path / "parent", tmp_path / "change"]
+    for tree in trees:
+        for part in ("src/lefttail", "perfbench"):
+            (tree / part).mkdir(parents=True)
+            (tree / part / "mod.py").write_text("x = 1\n")
+    log = []
+    runs = fake_runs(log)
+
+    def run(tree, workload, seed):
+        for other in trees:
+            for part in ("src/lefttail", "perfbench"):
+                assert list((other / part / "__pycache__").glob("mod.*.pyc")), (other, part)
+        return {**runs(f"{tree.name}-tree", workload, seed), "commit": "c", "machine": "m"}
+
+    monkeypatch.setattr(paired_bench, "measure", functools.partial(paired_bench.measure, run=run))
+    argv = ["--parent", str(trees[0]), "--change", str(trees[1]), "--key", "k", "--what", "w"]
+    assert paired_bench.main([*argv, "--workload", "cli", "--seeds", "1", "2"]) == 0
+    assert log == [("parent-tree", 1), ("change-tree", 1), ("change-tree", 2), ("parent-tree", 2)]
+    assert json.loads(capsys.readouterr().out)["cli"]["comparison"]["wall_s"]["change_wins"] == 2
