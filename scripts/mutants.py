@@ -1,6 +1,6 @@
 """Mutation run over ``tests/data/mutants.json``: every mutant must fail a test.
 
-    python3 scripts/mutants.py [--only ID ...]
+    python3 scripts/mutants.py
 
 Each entry of the data file names a source file, an exact old text, the new
 text that replaces it, what the change breaks, and the test ids expected to
@@ -17,7 +17,6 @@ one survived or a run errored or took over TIMEOUT seconds.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -77,16 +76,8 @@ def run_tests(tree: Path, tests: list) -> tuple:
     return status, failed
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--only", nargs="+", metavar="ID", help="run only these mutants")
-    args = p.parse_args(argv)
+def main() -> int:
     mutants = json.loads(DATA.read_text(encoding="utf-8"))
-    if args.only:
-        unknown = set(args.only) - {m["id"] for m in mutants}
-        if unknown:
-            raise SystemExit(f"error: no mutant {sorted(unknown)}")
-        mutants = [m for m in mutants if m["id"] in args.only]
     tests = sorted({test for m in mutants for test in m["killed_by"]})
     with tempfile.TemporaryDirectory(prefix="lefttail-mutants-") as scratch:
         status, failed = run_tests(copy_tree(Path(scratch) / "clean"), tests)

@@ -97,7 +97,7 @@ def _check_shifted_domain(lam: float, n: int) -> None:
         raise ValueError(f"shifted branch needs n >= 2 and 1 <= mean <= n, got mean {lam} at n={n}")
 
 
-# A named tuple, not a dataclass: importing dataclasses costs 7-10 ms per CLI child.
+# Not a dataclass, for CLI start-up: tests/test_package.py says why.
 class BoundResult(NamedTuple):
     """A bound value in [0, 1] plus bookkeeping.
 

@@ -28,7 +28,7 @@ __all__ = [
     "poisson_limit_gap",
 ]
 
-# A named tuple, not a dataclass: importing dataclasses costs 7-10 ms per CLI child.
+# Not a dataclass, for CLI start-up: tests/test_package.py says why.
 class BinomialSpec(namedtuple("BinomialSpec", "p trials shift", defaults=(0,))):
     """A (possibly shifted) binomial: shift + binomial(p, trials).
 

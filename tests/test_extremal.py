@@ -150,7 +150,6 @@ class TestBinomialSpecTuple:
         assert (p, trials, shift) == (0.25, 4, 0) and spec.mean() == 1.0
         assert repr(spec) == "BinomialSpec(p=0.25, trials=4, shift=0)"
         assert repr(BinomialSpec(0.5, 3, shift=1)) == "BinomialSpec(p=0.5, trials=3, shift=1)"
-        assert spec._replace(shift=1) == (0.25, 4, 1)
         assert not hasattr(spec, "__dict__")
 
 
