@@ -37,6 +37,8 @@ class BinomialSpec(namedtuple("BinomialSpec", "p trials shift", defaults=(0,))):
     """
 
     __slots__ = ()
+    # _replace builds through _make, so both take __new__'s checks
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, p: float, trials: int, shift: int = 0) -> BinomialSpec:
         if not 0.0 <= p <= 1.0:

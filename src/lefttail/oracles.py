@@ -162,9 +162,8 @@ class SearchReport:
 
     ``lefttail verify`` passes iff max_value - bound_value <= CLOSED_FORM_TOL.
     ``points_evaluated`` counts the simplex grid rows plus the pair moves
-    evaluated, or the distinct sorted two-point combinations (n <= 4, on
-    integer grid units) inside the mean window; both searches count their
-    rows exactly before building one.
+    evaluated, or the sorted two-point combinations in the mean window, each
+    counted exactly before a row is built.
     """
 
     max_value: float
@@ -431,14 +430,14 @@ def _two_point_options(denom: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     """Discretised search over two-point summands at (approximately) fixed mean.
 
-    Keeps grid specs whose mean is within ``resolution`` of lam and
-    compares the maximal exact tail against the finite-n bound evaluated
-    at lam - resolution: the bound is non-increasing in the mean, so that
-    adjustment makes the comparison sound at grid precision.  The tail is
-    symmetric in its summands, so each multiset of distinct grid summands
-    is evaluated once; ``points_evaluated`` counts these exactly before any
-    is built.  Values and means are in integer grid units, so the mean
-    window and the ``<= 1`` test are exact; n is at most 4.
+    Keeps grid specs whose mean is within ``resolution`` of lam and compares
+    the maximal tail against the finite-n bound at lam - resolution, sound at
+    grid precision as the bound is non-increasing in the mean.  The tail is
+    symmetric in its summands, so each multiset of distinct grid summands is
+    evaluated once, and counted exactly before any is built.  Values, means
+    and probabilities are integer grid units, so the mean window, the ``<= 1``
+    test and each tail, a numerator over denom**n, are exact, and
+    ``max_value`` is the best of them, rounded once; n is at most 4.
     """
     _check_query(lam, n)
     if not 2 <= n <= 4:
@@ -446,10 +445,9 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     if not 0.05 <= resolution <= 1.0:
         raise ValueError(f"resolution must be in [0.05, 1], got {resolution}")
     denom = round(1.0 / resolution)
-    low, high, k, means = _two_point_options(denom)
+    low, high, prob, means = _two_point_options(denom)
     lo, hi = _unit_window(lam - resolution, lam + resolution, denom * denom)
-    prob = k / denom
-    stay = 1.0 - prob
+    stay = denom - prob
     # outcome values reach n * denom <= 80 grid units: int16 holds them in a
     # quarter of int64's bytes, which raised four searches' peak RSS by 1.2 MB
     low, high = low.astype(np.int16), high.astype(np.int16)
@@ -462,11 +460,11 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
         a, b, s, p = low[c], high[c], stay[c], prob[c]
         return sum(q * (s * (a <= r) + p * (b <= r)) for r, q in zip([denom - v for v in states[::2]], states[1::2]))
 
-    # a node's state is its prefix's outcomes, values and probabilities
-    # alternating; a leaf's tail thresholds its last summand against them
-    size, best_val, (best_combo, _) = _best_row(means, lo, hi, n, (np.zeros(1, dtype=np.int16), np.ones(1)), step, finish)
-    argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in best_combo)
-    return SearchReport(best_val, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
+    # a node's state is its prefix's outcomes, values and probability numerators
+    # alternating; a leaf's tail, a numerator over denom**n, thresholds its last summand against them
+    size, best, (best_combo, _) = _best_row(means, lo, hi, n, (np.zeros(1, dtype=np.int16), np.ones(1, dtype=int)), step, finish)
+    argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c] / denom)) for c in best_combo)
+    return SearchReport(best / denom**n, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
 
 
 def _sampler(spec: DistSpec) -> Callable[[np.ndarray], np.ndarray]:

@@ -10,8 +10,9 @@ structure over the package's own kernels,
 :func:`searchsorted_inverse_transform`, Monte Carlo's earlier sampler over
 the package's spec types, :func:`per_row_best_row`, the searches' earlier
 exhaustive stage over the package's tail kernels, and
-:func:`per_row_two_point_tails`, the two-point search's earlier row kernel,
-so that each can be compared bit for bit with its replacement.
+:func:`per_row_two_point_tails`, the two-point search's earlier row kernel
+on the same integer numerators, so that each can be compared bit for bit
+with its replacement.
 """
 
 from __future__ import annotations
@@ -147,15 +148,17 @@ def per_row_best_row(values: np.ndarray, lo: int, hi: int, size: int, tails) -> 
 
 
 def per_row_two_point_tails(summands: list, denom: int) -> np.ndarray:
-    """Exact P(sum <= 1) for rows of independent two-point summands.
+    """P(sum <= 1) for rows of independent two-point summands, as exact
+    integer numerators over denom**n.
 
     ``summands`` holds, for each summand, its two outcomes as ``(value,
-    probability)`` arrays over the rows, values in grid units of 1/denom.
-    The outcomes of all summands but the first are combined into one list,
-    which is thresholded exactly against each outcome of the first.  This
-    is the two-point search's earlier kernel, which scored every row whole,
-    kept as the reference for the one that folds each prefix's outcomes
-    down the tree: the same sums, added first summand first.
+    probability numerator)`` integer arrays over the rows, values in grid
+    units of 1/denom and probabilities in units of 1/denom.  The outcomes
+    of all summands but the first are combined into one list, which is
+    thresholded exactly against each outcome of the first.  This is the
+    two-point search's earlier kernel, which scored every row whole, kept
+    as the reference for the one that folds each prefix's outcomes down
+    the tree.
     """
     first, *others = summands
     rest = others[0]

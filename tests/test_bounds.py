@@ -158,6 +158,13 @@ class TestHoeffding:
                 hoeffding_bound(lam, n)
             assert not isinstance(info.value, NotStated), (lam, n)
 
+    def test_finite_n_bound_below_comparator(self):
+        # the abstract's claim, that the bound improves on Hoeffding (1956):
+        # H_n <= lam (1 + (1 - lam)/n)^(n-1) on 1 <= lam <= n, in steps of 0.05
+        for n in (*range(2, 41), 100, 200, 1000):
+            for lam in np.arange(20, 20 * n + 1) / 20:
+                assert finite_n_bound(lam, n).value <= hoeffding_bound(lam, n).value + CLOSED_FORM_TOL, (n, lam)
+
     def test_exponential_form(self):
         assert hoeffding_exponential(0.0) == 1.0
         assert hoeffding_exponential(1.0 / (1.0 - math.exp(-1.0))) == pytest.approx(1.0, abs=1e-12)

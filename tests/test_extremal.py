@@ -150,7 +150,15 @@ class TestBinomialSpecTuple:
         assert (p, trials, shift) == (0.25, 4, 0) and spec.mean() == 1.0
         assert repr(spec) == "BinomialSpec(p=0.25, trials=4, shift=0)"
         assert repr(BinomialSpec(0.5, 3, shift=1)) == "BinomialSpec(p=0.5, trials=3, shift=1)"
+        assert spec._replace(shift=1) == (0.25, 4, 1)
         assert not hasattr(spec, "__dict__")
+
+    def test_replace_and_make_are_validated(self):
+        with pytest.raises(ValueError, match=r"^success probability must be in \[0,1\], got 2.0$"):
+            BinomialSpec(0.5, 4)._replace(p=2.0)
+        with pytest.raises(ValueError, match="^trial count must be non-negative"):
+            BinomialSpec._make((0.5, -3, 7))
+        assert BinomialSpec._make((0.5, np.int64(3))) == (0.5, 3, 0)
 
 
 class TestExtremalForBranch:

@@ -208,23 +208,22 @@ SIMPLEX_STAGES += [(*case, ALL_CHUNKS) for case in seeded_simplex_cases(1717, 6)
 TWO_POINT_STAGES = [(2, 1.5, 0.05), (3, 4 / 3, 1 / 6), (3, 5 / 3, 1 / 6), (3, 1.25, 0.125), (3, 1.75, 0.125)]
 TWO_POINT_STAGES = [(*case, WHOLE) for case in TWO_POINT_STAGES]
 TWO_POINT_STAGES += [(2, 0.3, 0.1, ALL_CHUNKS), (3, 1.5, 0.25, ALL_CHUNKS), (4, 2.6, 0.25, ALL_CHUNKS)]
-# seeded searches past two summands, then two whose best tail moved by an ulp
-TWO_POINT_SEEDED = [(n, float(np.round(lam, 3)), res) for n in (3, 4) for lam, res in zip(
+# then seeded searches past two summands, and two more at n = 3
+TWO_POINT_STAGES += [(n, float(np.round(lam, 3)), res, ALL_CHUNKS) for n in (3, 4) for lam, res in zip(
     np.random.default_rng(1919).uniform(0.0, n, size=6), (0.25, 1 / 3, 0.5) * 2)]
-TWO_POINT_SEEDED += [(3, 0.136, 0.2), (3, 2.495, 1 / 6)]
+TWO_POINT_STAGES += [(3, 0.136, 0.2, ALL_CHUNKS), (3, 2.495, 1 / 6, ALL_CHUNKS)]
 
 
 def per_row_two_point(denom: int) -> tuple:
-    """The two-point options ``(low, high, prob, means)`` at resolution
-    1/denom, and ``tails(index, total)`` of rows of them by the per-row
-    kernel."""
+    """The two-point options ``(low, high, k, means)`` at resolution
+    1/denom, k the numerator of ``prob_high``, and ``tails(index, total)``
+    of rows of them by the per-row kernel, as numerators over denom**n."""
     low, high, k, means = oracles._two_point_options(denom)
-    prob = k / denom
 
     def tails(index, _):
-        return per_row_two_point_tails([((low[c], 1.0 - prob[c]), (high[c], prob[c])) for c in index], denom)
+        return per_row_two_point_tails([((low[c], denom - k[c]), (high[c], k[c])) for c in index], denom)
 
-    return (low, high, prob, means), tails
+    return (low, high, k, means), tails
 
 
 class TestFoldedStage:
@@ -255,36 +254,17 @@ class TestFoldedStage:
 
     @pytest.mark.parametrize("n, lam, resolution, chunks", TWO_POINT_STAGES, ids=chunk_ids)
     def test_two_point_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
+        # both sides' tails are exact integers over denom**n, so the first
+        # of equal tails is the same row on both
         denom = round(1.0 / resolution)
-        (low, high, prob, means), tails = per_row_two_point(denom)
+        (low, high, k, means), tails = per_row_two_point(denom)
         window = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
         count, tail, (index, _) = per_row_best_row(means, *window, n, tails)
-        argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c])) for c in index)
+        argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(k[c] / denom)) for c in index)
         for chunk in chunks:
             monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
             rep = maximize_two_point(n, lam, resolution)
-            assert (rep.max_value.hex(), rep.argmax, rep.points_evaluated) == (tail.hex(), argmax, count), chunk
-
-    @pytest.mark.parametrize("n, lam, resolution", TWO_POINT_SEEDED)
-    def test_two_point_within_two_ulps_of_per_row_stage(self, n, lam, resolution, monkeypatch):
-        # past two summands a row's tail is added prefix first rather than
-        # first summand first, so a tail may move by rounding: the count is
-        # kept, and the best tail and the best row's per-row tail are within
-        # 2 ulps of the per-row stage's best
-        denom = round(1.0 / resolution)
-        (*_, means), tails = per_row_two_point(denom)
-        window = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
-        want_count, want_tail, _ = per_row_best_row(means, *window, n, tails)
-        stages, best_row = [], oracles._best_row
-        monkeypatch.setattr(oracles, "_best_row", lambda *args: stages.append(best_row(*args)) or stages[-1])
-        for chunk in ALL_CHUNKS:
-            monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
-            rep = maximize_two_point(n, lam, resolution)
-            count, tail, (index, _) = stages.pop()
-            row_tail = float(tails([np.array([c]) for c in index], None)[0])
-            assert rep.points_evaluated == count == want_count, chunk
-            assert (rep.max_value, len(rep.argmax)) == (tail, n), chunk
-            assert max(abs(tail - want_tail), abs(row_tail - want_tail)) <= 2 * math.ulp(want_tail), chunk
+            assert (rep.max_value.hex(), rep.argmax, rep.points_evaluated) == ((tail / denom**n).hex(), argmax, count), chunk
 
 
 class TestTupleCount:
@@ -537,6 +517,13 @@ class TestMaximizeTwoPoint:
         rep = maximize_two_point(3, 1.0, 0.1)
         assert rep.max_value == pytest.approx(1.0, abs=1e-12)
         assert rep.bound_value == 1.0
+
+    def test_tails_are_exact(self):
+        # tails that float probabilities round above 1, and above the bound
+        assert maximize_two_point(3, 0.697, 0.1).max_value == 1.0
+        assert maximize_two_point(3, 0.136, 0.2).max_value == 1.0
+        rep = maximize_two_point(3, 1.5, 0.1)
+        assert rep.max_value == 0.64 and rep.max_value <= rep.bound_value
 
     def test_argmax_mean_in_window(self):
         rep = maximize_two_point(2, 1.5, 0.05)
