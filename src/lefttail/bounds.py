@@ -199,17 +199,19 @@ def finite_n_bound(lam: float, n: int) -> BoundResult:
     return BoundResult(second, "second-max-term", False, second)
 
 
-def _envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
+def _envelope_values(lams: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The values of :func:`finite_n_bound` over an array of means in [0, n]:
     for n >= 2 the larger branch clamped to 1, as the shifted branch is at
     least 1 up to mean 1, both are 0 at mean n and below 1 in between.
-    Means are capped at n, where a grid's last point may overshoot it."""
+    Means are capped at n, where a grid's last point may overshoot it.
+    Returns the values and the shifted branch's row (None at n = 1)."""
     import numpy as np
 
     if n == 1:
-        return np.ones_like(lams)
+        return np.ones_like(lams), None
     m = np.minimum(lams, n)
-    return np.minimum(1.0, np.maximum(_binomial_term(m, n), _shifted_term(m, n)))
+    shifted = _shifted_term(m, n)
+    return np.minimum(1.0, np.maximum(_binomial_term(m, n), shifted)), shifted
 
 
 def _poisson_term(lam: float) -> float:

@@ -203,24 +203,35 @@ def masked_envelope_values(lams: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def slope_expression(x, lam):
+    """The scaled slope log(x) + (1-x)/x - (1-x)^2/(x(x+lam)) as one
+    expression, its earlier form, for a float or an array x."""
+    log = np.log if isinstance(x, np.ndarray) else math.log
+    return log(x) + (1.0 - x) / x - (1.0 - x) ** 2 / (x * (x + lam))
+
+
 def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float, dict, int]:
     """``(worst_violation, worst_point, points_checked)`` of one grid claim,
     by the grid checks' earlier loops: one per claim, each reducing its own
     rows.
 
-    F-mono-n, G-mono-n and H-mono-n evaluate both rows of every n afresh,
-    u-nonneg goes one mean at a time, and FG-order builds its mean grid at
-    every n.  This is the reference for the version that evaluates each row
-    once, takes u-nonneg in blocks of means and reduces every claim's rows
-    in one loop.  H-mono-n and H-mono-lambda evaluate the envelope by
-    :func:`masked_envelope_values`.
+    Every claim builds each of its mean grids by ``_lam_grid`` afresh, and
+    F-mono-n, G-mono-n and H-mono-n evaluate both rows of every n afresh.
+    u-nonneg goes one mean at a time through :func:`slope_expression`.
+    H-mono-n and H-mono-lambda evaluate the envelope by
+    :func:`masked_envelope_values`, and each of the three envelope claims
+    evaluates its own rows.  This is the reference for the version that
+    evaluates each row once, cuts each grid from the one at ``n_max``,
+    takes u-nonneg in blocks of means, reduces every claim's rows in one
+    loop, and serves G-mono-n, H-mono-n and H-mono-lambda from one shared
+    pass (by ``run_grid_check`` one claim at a time, or by
+    ``run_all_checks`` all three at once).
     """
     from lefttail.bounds import _binomial_term, _shifted_term
     from lefttail.inequalities import (
         CLOSED_FORM_TOL,
         SLOPE_THRESHOLD,
         _lam_grid,
-        _slope_term,
         crossover_threshold,
     )
 
@@ -234,7 +245,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
     if claim == "u-nonneg":
         xs = np.arange(1, 1000) / 1000.0
         for lam in _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True):
-            u = _slope_term(xs, lam)
+            u = slope_expression(xs, lam)
             checked += xs.size
             idx = int(np.argmin(u))
             consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})
@@ -250,6 +261,8 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
     elif claim == "H-mono-lambda":
         for n in range(1, n_max + 1):
             lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
+            if lams.size < 2:
+                continue
             vals = masked_envelope_values(lams, n)
             diff = vals[1:] - vals[:-1]
             checked += lams.size - 1

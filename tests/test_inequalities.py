@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle_utils import central_difference, masked_envelope_values, per_n_grid_check
+from oracle_utils import central_difference, masked_envelope_values, per_n_grid_check, slope_expression
 
 from lefttail.bounds import (
     _binomial_term,
@@ -30,6 +30,11 @@ from lefttail.inequalities import (
     slope_gradient,
     slope_quadratic,
 )
+
+
+def envelope(lams, n):
+    """The envelope's values alone, without the shifted row it hands back."""
+    return _envelope_values(lams, n)[0]
 
 
 class TestLogBinomialBranch:
@@ -69,8 +74,15 @@ class TestLogBinomialBranch:
 
 class TestScaledSlope:
     def test_zero_at_one(self):
+        # a +0.0, although the shared formula computes minus the slope
         for lam in (0.5, 1.0, SLOPE_THRESHOLD, 3.0):
             assert scaled_slope(1.0, lam) == 0.0
+            assert math.copysign(1.0, scaled_slope(1.0, lam)) == 1.0
+
+    def test_bits_of_the_one_expression(self):
+        for lam in (0.5, 1.0, SLOPE_THRESHOLD, 3.0, 299.99):
+            for x in (1e-6, 0.001, 0.25, 0.5, 0.999, 1.0 - 2**-40):
+                assert scaled_slope(x, lam).hex() == slope_expression(x, lam).hex(), (x, lam)
 
     def test_positive_above_threshold(self):
         assert scaled_slope(0.5, SLOPE_THRESHOLD) == pytest.approx(0.0047, abs=5e-4)
@@ -193,15 +205,23 @@ class TestKernels:
 
     def test_envelope(self):
         lams = np.arange(0.0, 5.0001, 0.11)
-        self.check(_envelope_values, lambda lam, n: finite_n_bound(lam, n).value, lams, 5, 1e-14, 1e-300)
+        self.check(envelope, lambda lam, n: finite_n_bound(lam, n).value, lams, 5, 1e-14, 1e-300)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 300, 10**6])
     def test_wide_sweep(self, n):
         lams = np.linspace(0.0, min(n, 800), 4001)
         self.check(_binomial_term, _binomial_term, lams, n, 1e-11, 1e-320)
-        self.check(_envelope_values, lambda lam, n: finite_n_bound(lam, n).value, lams, n, 1e-11, 1e-320)
+        self.check(envelope, lambda lam, n: finite_n_bound(lam, n).value, lams, n, 1e-11, 1e-320)
         if n >= 2:
             self.check(_shifted_term, _shifted_term, lams, n, 1e-11, 1e-320)
+
+
+# (2, 0.5) and (1, 0.5) leave F-mono-n and G-mono-n without a single row;
+# (3, 0.001) gives u-nonneg a last block of 54 means; at (40, 0.16)
+# FG-order has no grid points; a step of 2 - 1e-12 puts a grid point
+# exactly at 2 - 1e-12, the edge of the strict grid [0, 2), which leaves
+# it out
+GRID_SETTINGS = [(100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5), (40, 0.16), (4, 2.0 - 1e-12)]
 
 
 class TestGridChecks:
@@ -218,15 +238,25 @@ class TestGridChecks:
         assert np.max(np.abs(gap - (lams - 2.0) ** 2 / 4.0)) <= 1e-12
 
     def test_envelope_endpoint_values(self):
-        assert _envelope_values(np.array([1.0]), 4)[0] == 1.0
-        assert _envelope_values(np.array([2.0]), 4)[0] == pytest.approx(0.3125, abs=1e-12)
-        assert _envelope_values(np.array([4.0]), 4)[0] == 0.0
+        assert envelope(np.array([1.0]), 4)[0] == 1.0
+        assert envelope(np.array([2.0]), 4)[0] == pytest.approx(0.3125, abs=1e-12)
+        assert envelope(np.array([4.0]), 4)[0] == 0.0
+
+    def test_envelope_hands_back_its_shifted_row(self):
+        # the shared pass takes G-mono-n's rows from here: below n they are
+        # the shifted branch's bits at the same means
+        lams = inequalities._lam_grid(0.0, 51.0, 0.017, include_hi=True)
+        assert _envelope_values(lams, 1)[1] is None
+        for n in (2, 7, 51):
+            inside = lams[lams < n]
+            shifted = _envelope_values(lams[: inside.size + 1], n)[1]
+            assert np.array_equal(shifted[: inside.size].view(np.int64), _shifted_term(inside, n).view(np.int64))
 
     def test_envelope_matches_masked_reference(self):
         for n in range(1, 61):
             for step in (0.01, 0.003, 0.017):
                 lams = inequalities._lam_grid(0.0, float(n), step, include_hi=True)
-                got, want = _envelope_values(lams, n), masked_envelope_values(lams, n)
+                got, want = envelope(lams, n), masked_envelope_values(lams, n)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, step)
 
     def test_envelope_at_a_grid_point_past_n(self):
@@ -234,7 +264,7 @@ class TestGridChecks:
         # overshoots n; there the uncapped branches are NaN
         lams = inequalities._lam_grid(0.0, 51.0, 0.017, include_hi=True)
         assert lams[-1] > 51.0
-        assert _envelope_values(lams, 51)[-1] == 0.0
+        assert envelope(lams, 51)[-1] == 0.0
 
     def test_unknown_claim_rejected(self):
         with pytest.raises(ValueError):
@@ -252,11 +282,16 @@ class TestGridChecks:
 
     def test_u_nonneg_point_of_each_entry(self):
         # a row is a block of 64 means by 999 values of x; entry k sits at the
-        # block's mean k // 999 and at x = (k % 999 + 1) / 1000
+        # block's mean k // 999 and at x = (k % 999 + 1) / 1000, and the
+        # block has the bits of the slope's one-expression form
         step = 0.05
         rows = list(inequalities._claim_rows("u-nonneg", 10, step))
         assert [v.size for v, _ in rows] == [64 * 999, 64 * 999, 49 * 999]
+        xs = np.arange(1, 1000) / 1000.0
+        lams = inequalities._lam_grid(SLOPE_THRESHOLD, 10.0, step, include_hi=True)
         for b, (violations, point) in enumerate(rows):
+            block = lams[64 * b : 64 * (b + 1)]
+            assert np.array_equal(violations, -slope_expression(xs, block[:, None]))
             for k in (0, 998, 999, 5 * 999 + 17, 48 * 999 + 500, violations.size - 1):
                 where = point(k)
                 assert where["x"] == (k % 999 + 1) / 1000
@@ -285,18 +320,44 @@ class TestGridChecks:
             res = run_grid_check(claim, n_max, step)
             assert (res.passed, res.worst_violation, res.worst_point, res.points_checked) == (False, 0.0, {}, 0)
 
-    # (2, 0.5) and (1, 0.5) leave F-mono-n and G-mono-n without a single row;
-    # (3, 0.001) gives u-nonneg a last block of 54 means; at (40, 0.16)
-    # FG-order has no grid points
-    @pytest.mark.parametrize(
-        "n_max, step", [(100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5), (40, 0.16)]
-    )
+    @pytest.mark.parametrize("n_max, step", GRID_SETTINGS)
     @pytest.mark.parametrize("claim", CLAIMS)
     def test_matches_per_n_loops(self, claim, n_max, step):
         res = run_grid_check(claim, n_max, step)
         worst, point, checked = per_n_grid_check(claim, n_max, step)
         assert res.worst_violation.hex() == worst.hex()
         assert (res.worst_point, res.points_checked) == (point, checked)
+
+    @pytest.mark.parametrize("n_max, step", GRID_SETTINGS)
+    def test_run_all_matches_per_n_loops(self, n_max, step):
+        # the shared pass of the three envelope claims and every other
+        # claim, against each claim's own earlier loop
+        for res in run_all_checks(n_max, step):
+            worst, point, checked = per_n_grid_check(res.claim, n_max, step)
+            assert res.worst_violation.hex() == worst.hex(), res.claim
+            assert (res.worst_point, res.points_checked) == (point, checked), res.claim
+
+    def test_run_all_equals_each_claim_alone(self):
+        assert run_all_checks(300, 0.01) == [run_grid_check(claim, 300, 0.01) for claim in CLAIMS]
+
+    def test_run_all_validates_before_any_row(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran before validation")
+
+        for kernel in ("_binomial_term", "_shifted_term", "_envelope_values", "_negated_slope"):
+            monkeypatch.setattr(inequalities, kernel, no_kernel)
+        cases = [
+            ((0, 0.01), "n must be a positive integer, got 0"),
+            ((501, 0.01), "n_max capped at 500, got 501"),
+            ((2.0, 0.01), "n must be a positive integer, got 2.0"),
+            ((10, 5e-4), "lambda_step must be finite and >= 1e-3, got 0.0005"),
+            ((10, math.nan), "lambda_step must be finite and >= 1e-3, got nan"),
+            ((10, math.inf), "lambda_step must be finite and >= 1e-3, got inf"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError) as raised:
+                run_all_checks(*args)
+            assert str(raised.value) == message, args
 
     @pytest.mark.parametrize("violation, passed, code", [(1e-13, "true", 0), (1e-9, "false", 1)])
     def test_pass_rule_is_closed_form_tol(self, violation, passed, code, monkeypatch, capsys):
@@ -346,7 +407,8 @@ class TestGridChecks:
         assert all(r.passed for r in results)
 
     def test_run_all_calls_the_module_attribute(self, monkeypatch):
-        # the traced benchmark times each claim by replacing this attribute
+        # the traced benchmark times each claim by replacing this attribute;
+        # the three envelope claims come from one shared pass instead
         calls = []
         original = inequalities.run_grid_check
 
@@ -356,7 +418,7 @@ class TestGridChecks:
 
         monkeypatch.setattr(inequalities, "run_grid_check", recorder)
         results = inequalities.run_all_checks(n_max=5, lambda_step=0.1)
-        assert tuple(calls) == CLAIMS
+        assert tuple(calls) == ("F-mono-n", "FG-order", "u-nonneg", "crossover-consistency")
         assert tuple(r.claim for r in results) == CLAIMS
 
     def test_rows_without_points_are_skipped(self):
