@@ -6,12 +6,12 @@ the envelope in both arguments, and non-negativity of the scaled slope
 that drives the branch-growth argument.  Each check sweeps a closed-form
 inequality over a grid and reports the worst violation.
 
-Every claim is written as a generator of rows, one per summand count or
-block of means: an array of violations (a positive entry breaks the
-claim) and a map from an entry to its grid point; G-mono-n, H-mono-n and
-H-mono-lambda share one, which evaluates the envelope once per count.  One
-reducer counts the points and keeps the worst violation and where it was,
-the same way for every claim.
+One row generator per kernel family evaluates its kernel once per summand
+count, or block of means, for all of its claims: the envelope for G-mono-n,
+H-mono-n and H-mono-lambda, the branch difference for FG-order and
+crossover-consistency, the binomial branch for F-mono-n, the scaled slope
+for u-nonneg.  One reducer keeps each claim's worst violation, its point
+and its count of points, the same way for every claim and entry point.
 """
 
 from __future__ import annotations
@@ -40,18 +40,6 @@ __all__ = [
 #: count: 2/sqrt(3), where the slope quadratic's minimum (3*lam^2 - 4)/4
 #: turns non-negative.
 SLOPE_THRESHOLD = 2.0 / math.sqrt(3.0)
-
-CLAIMS = (
-    "F-mono-n",
-    "G-mono-n",
-    "FG-order",
-    "H-mono-n",
-    "H-mono-lambda",
-    "u-nonneg",
-    "crossover-consistency",
-)
-#: The claims whose rows come from one evaluation of the envelope per n.
-ENVELOPE_CLAIMS = ("G-mono-n", "H-mono-n", "H-mono-lambda")
 
 
 @dataclass(frozen=True)
@@ -140,12 +128,12 @@ def crossover_threshold(n: int) -> float:
 
 def _lam_grid(lo: float, hi: float, step: float, include_hi: bool = False) -> np.ndarray:
     count = math.floor((hi - lo) / step + 1e-9)
-    grid = lo + step * np.arange(count + 1)
-    return grid[grid <= hi + 1e-12] if include_hi else grid[grid < hi - 1e-12]
+    return _prefix(lo + step * np.arange(count + 1), hi, include_hi)
 
 
 def _prefix(grid: np.ndarray, hi: float, include_hi: bool = False) -> np.ndarray:
-    # _lam_grid(lo, hi, ...) cut from a longer one: point i is lo + step*i at any count
+    # the points of an increasing grid up to hi, within 1e-12; so a grid
+    # _lam_grid(lo, hi, ...) is cut from a longer one: point i is lo + step*i at any count
     side, edge = ("right", hi + 1e-12) if include_hi else ("left", hi - 1e-12)
     return grid[: np.searchsorted(grid, edge, side)]
 
@@ -156,106 +144,116 @@ def _at(n: int, lams: np.ndarray):
 
 
 def _envelope_rows(n_max: int, lambda_step: float):
-    """Yield, for n = 1..n_max, the rows of ENVELOPE_CLAIMS that end at n,
-    by claim, from one evaluation of the envelope and its shifted row over
-    [0, n]; G-mono-n's grid [0, n - 1) is a prefix of the one at n - 1."""
+    """H-mono-lambda, H-mono-n and G-mono-n from one evaluation per n of the
+    envelope and its shifted row over [0, n]; G-mono-n's grid [0, n - 1) is
+    a prefix of the one at n - 1."""
     grid = _lam_grid(0.0, float(n_max), lambda_step, include_hi=True)
     for n in range(1, n_max + 1):
         lams = _prefix(grid, n, include_hi=True)
         env, shifted = _envelope_values(lams, n)
-        rows = {"H-mono-lambda": (env[1:] - env[:-1], _at(n, lams[1:]))}
+        yield "H-mono-lambda", env[1:] - env[:-1], _at(n, lams[1:])
         if n > 1:
-            rows["H-mono-n"] = (last_env - env[: last_lams.size], _at(n - 1, last_lams))
+            yield "H-mono-n", last_env - env[: last_lams.size], _at(n - 1, last_lams)
         if n > 2:
             g_lams = _prefix(last_lams, n - 1)
-            rows["G-mono-n"] = (last_shifted[: g_lams.size] - shifted[: g_lams.size], _at(n - 1, g_lams))
-        yield rows
+            yield "G-mono-n", last_shifted[: g_lams.size] - shifted[: g_lams.size], _at(n - 1, g_lams)
         last_lams, last_env, last_shifted = lams, env, shifted
 
 
-def _claim_rows(claim: str, n_max: int, lambda_step: float):
-    """Yield the rows ``(violations, point)`` of one claim outside
-    ENVELOPE_CLAIMS: a positive entry of ``violations`` breaks the claim,
-    and ``point(i)`` says where entry i (a flat index) was evaluated.  A row
-    may be empty.  Each grid at n is cut from the claim's grid at n_max."""
-    if claim == "F-mono-n":
-        # each row is evaluated once and compared with the row at n - 1
-        grid = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step)
-        for n in range(2, n_max + 1):
-            lams = _prefix(grid, float(n))
-            row = _binomial_term(lams, n)
-            if n > 2:
-                yield last_row - row[: last_lams.size], _at(n - 1, last_lams)
-            last_lams, last_row = lams, row
+def _gap_rows(n_max: int, lambda_step: float):
+    """crossover-consistency and FG-order from one branch difference per n
+    over (1, n): FG-order's means (1, 2/sqrt(3)) are a prefix of it."""
+    grid = _lam_grid(1.0 + lambda_step, float(n_max), lambda_step)
+    fg = _prefix(grid, SLOPE_THRESHOLD).size
+    for n in range(2, n_max + 1):
+        lams = _prefix(grid, float(n))
+        diff = _binomial_term(lams, n) - _shifted_term(lams, n)
+        # the shifted branch dominates exactly up to the threshold
+        size = np.abs(diff)
+        lhs = diff <= CLOSED_FORM_TOL
+        rhs = (crossover_threshold(n) - lams) >= -CLOSED_FORM_TOL
+        yield "crossover-consistency", np.where((lhs != rhs) & (size > CLOSED_FORM_TOL), size, 0.0), _at(n, lams)
+        yield "FG-order", diff[:fg], _at(n, lams)
 
-    elif claim == "FG-order":
-        # the order is claimed on the same means (1, 2/sqrt(3)) at every n
-        lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step)
-        for n in range(2, n_max + 1):
-            yield _binomial_term(lams, n) - _shifted_term(lams, n), _at(n, lams)
 
-    elif claim == "u-nonneg":
-        # x = 1 is left out: the slope is exactly 0 there at every mean
-        xs = np.arange(1, 1000) / 1000.0
-        parts = _slope_parts(xs)
-        lams = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True)
-        # a block of 64 means at a time: one (64, 999) array, about 0.5 MB,
-        # updated in place; the parts without the mean are made once
-        for a in range(0, lams.size, 64):
-            block = lams[a : a + 64]
-            yield _negated_slope(xs, block[:, None], *parts), (
-                lambda k, block=block: {"lam": float(block[k // xs.size]), "x": float(xs[k % xs.size])}
-            )
+def _binomial_rows(n_max: int, lambda_step: float):
+    """F-mono-n: each row is evaluated once and compared with the one at n - 1."""
+    grid = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step)
+    for n in range(2, n_max + 1):
+        lams = _prefix(grid, float(n))
+        row = _binomial_term(lams, n)
+        if n > 2:
+            yield "F-mono-n", last_row - row[: last_lams.size], _at(n - 1, last_lams)
+        last_lams, last_row = lams, row
 
-    else:  # crossover-consistency: the shifted branch dominates exactly up to the threshold
-        grid = _lam_grid(1.0 + lambda_step, float(n_max), lambda_step)
-        for n in range(2, n_max + 1):
-            lams = _prefix(grid, float(n))
-            gap = _shifted_term(lams, n) - _binomial_term(lams, n)
-            size = np.abs(gap)
-            lhs = gap >= -CLOSED_FORM_TOL
-            rhs = (crossover_threshold(n) - lams) >= -CLOSED_FORM_TOL
-            yield np.where((lhs != rhs) & (size > CLOSED_FORM_TOL), size, 0.0), _at(n, lams)
+
+def _slope_rows(n_max: int, lambda_step: float):
+    """u-nonneg, a block of 64 means at a time: one (64, 999) array, about
+    0.5 MB, updated in place; the parts without the mean are made once.
+    x = 1 is left out: the slope is exactly 0 there at every mean."""
+    xs = np.arange(1, 1000) / 1000.0
+    parts = _slope_parts(xs)
+    lams = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True)
+    for a in range(0, lams.size, 64):
+        block = lams[a : a + 64]
+        yield "u-nonneg", _negated_slope(xs, block[:, None], *parts), (
+            lambda k, block=block: {"lam": float(block[k // xs.size]), "x": float(xs[k % xs.size])}
+        )
+
+
+#: Each claim's row generator, in the order results are reported.
+_ROWS = {
+    "F-mono-n": _binomial_rows,
+    "G-mono-n": _envelope_rows,
+    "FG-order": _gap_rows,
+    "H-mono-n": _envelope_rows,
+    "H-mono-lambda": _envelope_rows,
+    "u-nonneg": _slope_rows,
+    "crossover-consistency": _gap_rows,
+}
+CLAIMS = tuple(_ROWS)
 
 
 def _reduce(claims: tuple[str, ...], rows) -> list[GridCheckResult]:
-    """The result of each of ``claims`` from ``rows``, maps from claims to a
-    row each.  A claim's first non-empty row seeds its worst violation, only
-    a strictly larger one replaces it, and it passes when it checked a point
-    and the worst is within CLOSED_FORM_TOL; without points it reports 0.0 at {}."""
+    """The result of each of ``claims`` from ``rows``, triples ``(claim,
+    violations, point)``: a positive entry of ``violations`` breaks the
+    claim, and ``point(i)`` says where entry i (a flat index) was evaluated.
+    A claim's first non-empty row seeds its worst violation, only a strictly
+    larger one replaces it, and it passes when it checked a point and the
+    worst is within CLOSED_FORM_TOL; without points it reports 0.0 at {}."""
     found = {claim: (0.0, {}, 0) for claim in claims}
-    for row in rows:
-        for claim, (violations, point) in row.items():
-            if claim in found and violations.size:
-                worst, worst_point, checked = found[claim]
-                idx = int(np.argmax(violations))
-                value = float(violations.flat[idx])
-                if not checked or value > worst:
-                    worst, worst_point = value, point(idx)
-                found[claim] = worst, worst_point, checked + violations.size
+    for claim, violations, point in rows:
+        if claim in found and violations.size:
+            worst, worst_point, checked = found[claim]
+            idx = int(np.argmax(violations))
+            value = float(violations.flat[idx])
+            if not checked or value > worst:
+                worst, worst_point = value, point(idx)
+            found[claim] = worst, worst_point, checked + violations.size
     return [GridCheckResult(c, k > 0 and w <= CLOSED_FORM_TOL, w, at, k) for c, (w, at, k) in found.items()]
+
+
+def _check_settings(n_max: int, lambda_step: float) -> None:
+    """Reject an n_max outside 1..500 and a lambda_step below 1e-3 or not finite."""
+    _check_n(n_max)
+    if n_max > 500:
+        raise ValueError(f"n_max capped at 500, got {n_max}")
+    if not 1e-3 <= lambda_step < math.inf:
+        raise ValueError(f"lambda_step must be finite and >= 1e-3, got {lambda_step}")
 
 
 def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> GridCheckResult:
     """Sweep one claim over its stated (mean, n) or (x, mean) domain: the
     worst violation found (positive = inequality broken) and where it was,
     by :func:`_reduce`'s rule."""
-    if claim not in CLAIMS:
+    if claim not in _ROWS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
-    _check_n(n_max)
-    if n_max > 500:
-        raise ValueError(f"n_max capped at 500, got {n_max}")
-    if not 1e-3 <= lambda_step < math.inf:
-        raise ValueError(f"lambda_step must be finite and >= 1e-3, got {lambda_step}")
-    if claim in ENVELOPE_CLAIMS:
-        return _reduce((claim,), _envelope_rows(n_max, lambda_step))[0]
-    return _reduce((claim,), ({claim: row} for row in _claim_rows(claim, n_max, lambda_step)))[0]
+    _check_settings(n_max, lambda_step)
+    return _reduce((claim,), _ROWS[claim](n_max, lambda_step))[0]
 
 
 def run_all_checks(n_max: int = 100, lambda_step: float = 0.01) -> list[GridCheckResult]:
-    """Run every claim at the given grid settings, in CLAIMS order: each
-    claim outside ENVELOPE_CLAIMS by :func:`run_grid_check`, whose first
-    call checks the settings, then the envelope claims from one shared pass."""
-    results = {claim: run_grid_check(claim, n_max, lambda_step) for claim in CLAIMS if claim not in ENVELOPE_CLAIMS}
-    results.update(zip(ENVELOPE_CLAIMS, _reduce(ENVELOPE_CLAIMS, _envelope_rows(n_max, lambda_step))))
-    return [results[claim] for claim in CLAIMS]
+    """Every claim at the given grid settings, in CLAIMS order, with each
+    row generator run once for all of its claims."""
+    _check_settings(n_max, lambda_step)
+    return _reduce(CLAIMS, (row for rows in dict.fromkeys(_ROWS.values()) for row in rows(n_max, lambda_step)))

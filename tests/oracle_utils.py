@@ -210,28 +210,39 @@ def slope_expression(x, lam):
     return log(x) + (1.0 - x) / x - (1.0 - x) ** 2 / (x * (x + lam))
 
 
+def filtered_lam_grid(lo: float, hi: float, step: float, include_hi: bool = False) -> np.ndarray:
+    """The mean grid ``lo + step*i`` up to ``hi`` (within 1e-12, inclusive
+    or strict) by a mask over the whole grid: the grid checks' earlier
+    builder, kept apart from the package's cut by ``np.searchsorted``."""
+    count = math.floor((hi - lo) / step + 1e-9)
+    grid = lo + step * np.arange(count + 1)
+    return grid[grid <= hi + 1e-12] if include_hi else grid[grid < hi - 1e-12]
+
+
 def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float, dict, int]:
     """``(worst_violation, worst_point, points_checked)`` of one grid claim,
     by the grid checks' earlier loops: one per claim, each reducing its own
     rows.
 
-    Every claim builds each of its mean grids by ``_lam_grid`` afresh, and
-    F-mono-n, G-mono-n and H-mono-n evaluate both rows of every n afresh.
+    Every claim builds each of its mean grids by :func:`filtered_lam_grid`
+    afresh, and F-mono-n, G-mono-n and H-mono-n evaluate both rows of every
+    n afresh.
     u-nonneg goes one mean at a time through :func:`slope_expression`.
     H-mono-n and H-mono-lambda evaluate the envelope by
     :func:`masked_envelope_values`, and each of the three envelope claims
-    evaluates its own rows.  This is the reference for the version that
-    evaluates each row once, cuts each grid from the one at ``n_max``,
-    takes u-nonneg in blocks of means, reduces every claim's rows in one
-    loop, and serves G-mono-n, H-mono-n and H-mono-lambda from one shared
-    pass (by ``run_grid_check`` one claim at a time, or by
-    ``run_all_checks`` all three at once).
+    evaluates its own rows, as do FG-order and crossover-consistency.  This
+    is the reference for the version that evaluates each row once, cuts
+    each grid from the one at ``n_max``, takes u-nonneg in blocks of means,
+    reduces every claim's rows in one loop, and serves the claims from one
+    row generator per kernel: G-mono-n, H-mono-n and H-mono-lambda from one
+    pass over the envelope, FG-order and crossover-consistency from one
+    branch difference (by ``run_grid_check`` one claim at a time, or by
+    ``run_all_checks`` every generator once).
     """
     from lefttail.bounds import _binomial_term, _shifted_term
     from lefttail.inequalities import (
         CLOSED_FORM_TOL,
         SLOPE_THRESHOLD,
-        _lam_grid,
         crossover_threshold,
     )
 
@@ -244,14 +255,14 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
 
     if claim == "u-nonneg":
         xs = np.arange(1, 1000) / 1000.0
-        for lam in _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True):
+        for lam in filtered_lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step, include_hi=True):
             u = slope_expression(xs, lam)
             checked += xs.size
             idx = int(np.argmin(u))
             consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})
     elif claim == "FG-order":
         for n in range(2, n_max + 1):
-            lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step, include_hi=False)
+            lams = filtered_lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step, include_hi=False)
             if lams.size == 0:
                 continue
             diff = _binomial_term(lams, n) - _shifted_term(lams, n)
@@ -260,7 +271,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx])})
     elif claim == "H-mono-lambda":
         for n in range(1, n_max + 1):
-            lams = _lam_grid(0.0, float(n), lambda_step, include_hi=True)
+            lams = filtered_lam_grid(0.0, float(n), lambda_step, include_hi=True)
             if lams.size < 2:
                 continue
             vals = masked_envelope_values(lams, n)
@@ -270,7 +281,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx + 1])})
     elif claim == "crossover-consistency":
         for n in range(2, n_max + 1):
-            lams = _lam_grid(1.0 + lambda_step, float(n), lambda_step)
+            lams = filtered_lam_grid(1.0 + lambda_step, float(n), lambda_step)
             if lams.size == 0:
                 continue
             gap = _shifted_term(lams, n) - _binomial_term(lams, n)
@@ -292,7 +303,7 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             "H-mono-n": (masked_envelope_values, 0.0, 1, True),
         }[claim]
         for n in range(n_lo, n_max):
-            lams = _lam_grid(lo, float(n), lambda_step, include_hi)
+            lams = filtered_lam_grid(lo, float(n), lambda_step, include_hi)
             if lams.size == 0:
                 continue
             diff = term(lams, n) - term(lams, n + 1)

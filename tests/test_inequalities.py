@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,11 +286,11 @@ class TestGridChecks:
         # block's mean k // 999 and at x = (k % 999 + 1) / 1000, and the
         # block has the bits of the slope's one-expression form
         step = 0.05
-        rows = list(inequalities._claim_rows("u-nonneg", 10, step))
-        assert [v.size for v, _ in rows] == [64 * 999, 64 * 999, 49 * 999]
+        rows = list(inequalities._ROWS["u-nonneg"](10, step))
+        assert [(c, v.size) for c, v, _ in rows] == [("u-nonneg", 64 * 999), ("u-nonneg", 64 * 999), ("u-nonneg", 49 * 999)]
         xs = np.arange(1, 1000) / 1000.0
         lams = inequalities._lam_grid(SLOPE_THRESHOLD, 10.0, step, include_hi=True)
-        for b, (violations, point) in enumerate(rows):
+        for b, (_, violations, point) in enumerate(rows):
             block = lams[64 * b : 64 * (b + 1)]
             assert np.array_equal(violations, -slope_expression(xs, block[:, None]))
             for k in (0, 998, 999, 5 * 999 + 17, 48 * 999 + 500, violations.size - 1):
@@ -363,14 +364,10 @@ class TestGridChecks:
     def test_pass_rule_is_closed_form_tol(self, violation, passed, code, monkeypatch, capsys):
         # one row whose worst entry lies just above or below CLOSED_FORM_TOL
         # decides the claim, in the reducer and on its `verify` line
-        rows = inequalities._claim_rows
+        def binomial_rows(n_max, lambda_step):
+            yield "F-mono-n", np.array([-1.0, violation, 0.0]), lambda i: {"n": 2, "lam": 1.5 + i}
 
-        def claim_rows(claim, n_max, lambda_step):
-            if claim != "F-mono-n":
-                return rows(claim, n_max, lambda_step)
-            return iter([(np.array([-1.0, violation, 0.0]), lambda i: {"n": 2, "lam": 1.5 + i})])
-
-        monkeypatch.setattr(inequalities, "_claim_rows", claim_rows)
+        monkeypatch.setitem(inequalities._ROWS, "F-mono-n", binomial_rows)
         res = run_grid_check("F-mono-n", 12, 0.05)
         assert (res.passed, res.worst_violation, res.worst_point, res.points_checked) == (
             passed == "true", violation, {"n": 2, "lam": 2.5}, 3
@@ -385,9 +382,9 @@ class TestGridChecks:
         # and at x = (k % 999 + 1) / 1000; the worst point of a whole run is
         # a block's first mean, so the per-n comparison cannot see this map
         lams = inequalities._lam_grid(SLOPE_THRESHOLD, 3.0, 0.01, True)
-        rows = list(inequalities._claim_rows("u-nonneg", 3, 0.01))
+        rows = list(inequalities._ROWS["u-nonneg"](3, 0.01))
         assert len(rows) == 3 and lams.size == 185
-        for r, (violations, point) in enumerate(rows):
+        for r, (_, violations, point) in enumerate(rows):
             for k in (0, 998, 999, violations.size - 1):
                 assert point(k) == {"lam": float(lams[64 * r + k // 999]), "x": (k % 999 + 1) / 1000}, (r, k)
 
@@ -396,7 +393,9 @@ class TestGridChecks:
         # the order is claimed on (1, 2/sqrt(3)): at every n the grid runs
         # from one step above 1 to its last mean within one step below
         # the threshold
-        for violations, point in inequalities._claim_rows("FG-order", 4, step):
+        rows = [row for row in inequalities._ROWS["FG-order"](4, step) if row[0] == "FG-order"]
+        assert len(rows) == 3
+        for _, violations, point in rows:
             first, last = point(0)["lam"], point(violations.size - 1)["lam"]
             assert first == 1.0 + step
             assert SLOPE_THRESHOLD - step <= last < SLOPE_THRESHOLD, (step, last)
@@ -406,20 +405,34 @@ class TestGridChecks:
         assert tuple(r.claim for r in results) == CLAIMS
         assert all(r.passed for r in results)
 
-    def test_run_all_calls_the_module_attribute(self, monkeypatch):
-        # the traced benchmark times each claim by replacing this attribute;
-        # the three envelope claims come from one shared pass instead
-        calls = []
-        original = inequalities.run_grid_check
+    def test_run_all_evaluates_each_branch_once_per_n(self, monkeypatch):
+        # F-mono-n's rows and the branch difference that FG-order and
+        # crossover-consistency share call the binomial branch once per n
+        # each, and the difference alone calls the shifted branch; the
+        # envelope claims take both from _envelope_values
+        n_max, calls = 12, {"_binomial_term": [], "_shifted_term": []}
+        for name, seen in calls.items():
+            kernel = getattr(inequalities, name)
+            monkeypatch.setattr(inequalities, name, lambda lams, n, kernel=kernel, seen=seen: seen.append(n) or kernel(lams, n))
+        assert all(r.passed for r in run_all_checks(n_max, 0.05))
+        assert sorted(calls["_binomial_term"]) == sorted([*range(2, n_max + 1)] * 2)
+        assert calls["_shifted_term"] == [*range(2, n_max + 1)]
 
-        def recorder(claim, *args, **kwargs):
-            calls.append(claim)
-            return original(claim, *args, **kwargs)
+    def test_run_all_peaks_at_the_costliest_claim(self):
+        # the row generators run one after another and a finished one holds
+        # no rows, so all seven claims at once take no more memory than the
+        # costliest claim alone, give or take a row of the grid at n_max
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        monkeypatch.setattr(inequalities, "run_grid_check", recorder)
-        results = inequalities.run_all_checks(n_max=5, lambda_step=0.1)
-        assert tuple(calls) == ("F-mono-n", "FG-order", "u-nonneg", "crossover-consistency")
-        assert tuple(r.claim for r in results) == CLAIMS
+        alone = max(peak(lambda: run_grid_check(claim, 300, 0.01)) for claim in CLAIMS)
+        row = 8 * inequalities._lam_grid(0.0, 300.0, 0.01, include_hi=True).size
+        assert peak(lambda: run_all_checks(300, 0.01)) <= alone + row
 
     def test_rows_without_points_are_skipped(self):
         # a step above 1 leaves H-mono-lambda no pair of means at n = 1;
