@@ -206,9 +206,13 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
     one parent's children.  ``links`` holds one ``(parent, child)`` pair of
     arrays per depth, no index column: row g's last index is ``child[g]`` of
     the last pair, and its others are those of row ``parent[g]`` one depth
-    up.  ``states`` holds the rows' parents' states, made once per node
-    above the leaves by ``step(its parent's states, its last index)`` from
-    the root's ``state`` (length-1 arrays); ``total`` the rows' value sums.
+    up.  ``states`` holds the states of the leaves' parents, one per parent,
+    and row g reads its own parent's at ``parent[g]``: no state is gathered
+    per leaf.  Each node above the leaves makes its states once, by
+    ``step(its parent's states, its last index, rest)`` from the root's
+    ``state`` (length-1 arrays), where ``rest`` counts the indices still to
+    come after it, 1 at the leaves' parents.  ``total`` holds the rows'
+    value sums.
 
     The tuples grow one index at a time.  With ``rest`` indices still to
     come after the next one, each at least its value and at most
@@ -235,12 +239,12 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
             parent = np.repeat(np.arange(a, b), counts[a:b])
             if parent.size:
                 child = np.arange(ends[b - 1] - parent.size, ends[b - 1]) + shift[parent]
-                states, sums = tuple(s[parent] for s in state), total[parent] + values[child]
+                sums = total[parent] + values[child]
                 if rest:
-                    states = step(states, child)  # frees the gathered states before the depth below
-                    yield from grow([*links, (parent, child)], states, sums)
+                    # the gathered states are freed before the depth below
+                    yield from grow([*links, (parent, child)], step(tuple(s[parent] for s in state), child, rest), sums)
                 else:
-                    yield [*links, (parent, child)], states, sums
+                    yield [*links, (parent, child)], state, sums
 
     yield from grow([], state, np.zeros(1, dtype=values.dtype))
 
@@ -251,8 +255,12 @@ def _tuple_count(values: np.ndarray, lo: int, hi: int, size: int) -> int:
     multisets: k z_k = sum_{j<=k} p_j * z_{k-j}, where z_k[s] counts k-tuples
     with value sum s and p_j[s] the values v with j v = s.  Convolving costs
     O(hi^2), so the mirror image v -> top - v is counted if its window is lower.
+    Every k z_k is at most size * comb(len(values) + size - 1, size), so
+    from 2**63 on it raises SearchSpaceError before int64 could wrap.
     Validated searches reach about 1.1e13 tuples, far inside int64.
     """
+    if size * math.comb(len(values) + size - 1, size) >= 2**63:
+        raise SearchSpaceError(f"{size}-tuples of {len(values)} values are too many to count in int64")
     top = int(values[-1])
     if size * top - lo < hi:
         values, lo, hi = top - values, size * top - hi, size * top - lo
@@ -272,16 +280,16 @@ def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state: tuple, ste
     """Both searches' exhaustive stage: counts the rows of :func:`_sorted_tuples`,
     refuses a count over MAX_GRID_POINTS before building any row or state,
     and scans the chunks grown from ``state`` by ``step``, scoring each by
-    ``finish(its rows' parents' states, last indices, totals)``.  Returns
-    ``(count, best tail, best row as (index, total))``; the first of equal
-    tails wins.
+    ``finish(its leaves' parents' states, the rows' parents, last indices,
+    totals)``.  Returns ``(count, best tail, best row as (index, total))``;
+    the first of equal tails wins.
     """
     count = _tuple_count(values, lo, hi, size)
     if count > MAX_GRID_POINTS:
         raise SearchSpaceError(f"exhaustive search has {count} rows, over the budget of {MAX_GRID_POINTS}")
     best_tail, best_row = -1.0, None
     for links, states, total in _sorted_tuples(values, lo, hi, size, state, step):
-        chunk = finish(states, links[-1][1], total)
+        chunk = finish(states, *links[-1], total)
         i = int(np.argmax(chunk))
         if chunk[i] > best_tail:
             # the row's index traced up the links at once: no chunk outlives its scan
@@ -367,8 +375,8 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     # and the exact remainder: the operations of _tail_states over the row's _simplex_point
     size, best_tail, row = _best_row(
         np.arange(denom + 1), *window, n - 1, (np.ones(1), np.zeros(1)),
-        lambda states, child: _tail_states([child * unit], *states),
-        lambda states, child, total: np.add(*_tail_states([child * unit, *_simplex_point([], total, lam, denom)], *states)),
+        lambda states, child, _: _tail_states([child * unit], *states),
+        lambda states, parent, child, total: np.add(*_tail_states([child * unit, *_simplex_point([], total, lam, denom)], *(s[parent] for s in states))),
     )
     best_row = [float(q) for q in _simplex_point(*row, lam, denom)]
     moved, symmetric = list(best_row), [lam / n] * n
@@ -437,7 +445,9 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     evaluated once, and counted exactly before any is built.  Values, means
     and probabilities are integer grid units, so the mean window, the ``<= 1``
     test and each tail, a numerator over denom**n, are exact, and
-    ``max_value`` is the best of them, rounded once; n is at most 4.
+    ``max_value`` is the best of them, rounded once; n is at most 4.  A
+    leaf parent turns its prefix's 2^(n-1) outcomes into one row of CDF
+    numerators over 0..denom, so a leaf's tail is two reads of that row.
     """
     _check_query(lam, n)
     if not 2 <= n <= 4:
@@ -448,20 +458,31 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     low, high, prob, means = _two_point_options(denom)
     lo, hi = _unit_window(lam - resolution, lam + resolution, denom * denom)
     stay = denom - prob
+    # a leaf reads its parent's table row at the columns of its last summand's outcomes
+    low_col, high_col, width = denom - low, denom - high, denom + 2
     # outcome values reach n * denom <= 80 grid units: int16 holds them in a
     # quarter of int64's bytes, which raised four searches' peak RSS by 1.2 MB
     low, high = low.astype(np.int16), high.astype(np.int16)
 
-    def step(states, c):
+    def step(states, c, rest):
         pairs = (low[c], stay[c]), (high[c], prob[c])
-        return tuple(x for v, p in zip(states[::2], states[1::2]) for w, q in pairs for x in (v + w, p * q))
+        outcomes = [(v + w, p * q) for v, p in zip(states[::2], states[1::2]) for w, q in pairs]
+        if rest > 1:
+            return tuple(x for outcome in outcomes for x in outcome)
+        # one table row per leaf parent, its column r the numerator of "prefix sum <= r";
+        # sums above denom land in a last column that no leaf reads
+        table, rows = np.zeros((len(c), width), dtype=int), np.arange(len(c))
+        for v, p in outcomes:
+            table[rows, np.minimum(v, denom + 1)] += p
+        return (np.cumsum(table, axis=1, out=table).ravel(),)
 
-    def finish(states, c, _):
-        a, b, s, p = low[c], high[c], stay[c], prob[c]
-        return sum(q * (s * (a <= r) + p * (b <= r)) for r, q in zip([denom - v for v in states[::2]], states[1::2]))
+    def finish(states, parent, c, _):
+        row = parent * width
+        return stay[c] * states[0].take(row + low_col[c]) + prob[c] * states[0].take(row + high_col[c])
 
     # a node's state is its prefix's outcomes, values and probability numerators
-    # alternating; a leaf's tail, a numerator over denom**n, thresholds its last summand against them
+    # alternating, and a leaf parent's its CDF numerators over 0..denom: a leaf's tail,
+    # a numerator over denom**n, reads them at 1 minus each outcome of its last summand
     size, best, (best_combo, _) = _best_row(means, lo, hi, n, (np.zeros(1, dtype=np.int16), np.ones(1, dtype=int)), step, finish)
     argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c] / denom)) for c in best_combo)
     return SearchReport(best / denom**n, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)

@@ -51,9 +51,10 @@ def touches_boundary(q, tol):
     return any(v <= tol or v >= 1.0 - tol for v in q)
 
 
-def keep_index(state, child):
+def keep_index(state, child, _rest):
     """A tree step whose state is a node's index columns: a leaf chunk's
-    states are then its parents' columns, all of its index but the last."""
+    states are then its parents' columns, all of its index but the last,
+    one entry per parent, which a row reads through the last link."""
     return (*state, child)
 
 
@@ -127,8 +128,9 @@ class TestSimplexGrid:
     @pytest.mark.parametrize("n, resolution", [(2, 0.01), (3, 0.02), (4, 0.05), (5, 0.1), (6, 0.05)])
     def test_matches_recursive_reference(self, n, resolution, monkeypatch):
         # the search's rows mapped to points, each node's index columns
-        # carried as its state and a leaf's last index taken from the links,
-        # as the search's finish takes it: same float bits in the same order,
+        # carried as its state, read by a leaf through its parent link, and a
+        # leaf's last index taken from the links, as the search's finish
+        # reads and takes them: same float bits in the same order,
         # in whole chunks and in chunks smaller than one parent's children;
         # every row's index traced up the links as the search traces its best
         # row, and mapped one at a time as the search maps it; the count
@@ -144,7 +146,7 @@ class TestSimplexGrid:
             for chunk in (oracles.CHUNK_ROWS, 7):
                 monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
                 chunks = [
-                    (links, [*states, links[-1][1]], total)
+                    (links, [*(s[links[-1][0]] for s in states), links[-1][1]], total)
                     for links, states, total in oracles._sorted_tuples(values, *window, n - 1, (), keep_index)
                 ]
                 got = np.concatenate([np.column_stack(oracles._simplex_point(c[1], c[2], lam, denom)) for c in chunks])
@@ -167,12 +169,12 @@ class TestBestRow:
         monkeypatch.setattr(oracles, "CHUNK_ROWS", 1)
         values = np.arange(4)
         count, tail, (index, total) = oracles._best_row(
-            values, 2, 4, 2, (), keep_index, lambda state, child, total: np.zeros(len(total))
+            values, 2, 4, 2, (), keep_index, lambda state, parent, child, total: np.zeros(len(total))
         )
         assert (count, tail, [int(c) for c in index], int(total)) == (6, 0.0, [0, 2], 2)
         # (0, 3), (1, 1), (1, 2), (1, 3), (2, 2) follow: the first strictly higher tail replaces it
         count, tail, (index, total) = oracles._best_row(
-            values, 2, 4, 2, (), keep_index, lambda state, child, total: 1.0 * (state[0] >= 1)
+            values, 2, 4, 2, (), keep_index, lambda state, parent, child, total: 1.0 * (state[0][parent] >= 1)
         )
         assert (count, tail, [int(c) for c in index], int(total)) == (6, 1.0, [1, 1], 2)
 
@@ -294,6 +296,13 @@ class TestTupleCount:
                     monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
                     rows = sum(len(c[-1]) for c in oracles._sorted_tuples(means, lo, hi, n, (), keep_index))
                     assert count == rows, (n, lam, chunk)
+
+    def test_refuses_a_count_that_could_wrap(self):
+        # 8 summands over the 4011 options at resolution 0.05: about 9.9e22
+        # rows, which int64 would wrap to 4.4e18
+        means = oracles._two_point_options(20)[3]
+        with pytest.raises(SearchSpaceError, match="^8-tuples of 4011 values are too many to count in int64$"):
+            oracles._tuple_count(means, *oracles._unit_window(4.0 - 0.05, 4.0 + 0.05, 400), 8)
 
     def test_validated_extremes_do_not_overflow(self):
         # the largest budget checks of both searches, against Python integers
