@@ -6,12 +6,13 @@ the envelope in both arguments, and non-negativity of the scaled slope
 that drives the branch-growth argument.  Each check sweeps a closed-form
 inequality over a grid and reports the worst violation.
 
-One row generator per kernel family evaluates its kernel once per summand
-count, or block of means, for all of its claims: the envelope for G-mono-n,
-H-mono-n and H-mono-lambda, the branch difference for FG-order and
-crossover-consistency, the binomial branch for F-mono-n, the scaled slope
-for u-nonneg.  One reducer keeps each claim's worst violation, its point
-and its count of points, the same way for every claim and entry point.
+Each row generator evaluates its kernel once per summand count, or block
+of means, for all of its claims: the envelope for G-mono-n, H-mono-n and
+H-mono-lambda, the branch difference over (1, n) for crossover-consistency
+and over (1, 2/sqrt(3)) for FG-order, the binomial branch for F-mono-n, the
+scaled slope for u-nonneg.  One reducer keeps each claim's worst violation,
+its point and its count of points, the same way for every claim and entry
+point.
 """
 
 from __future__ import annotations
@@ -161,10 +162,8 @@ def _envelope_rows(n_max: int, lambda_step: float):
 
 
 def _gap_rows(n_max: int, lambda_step: float):
-    """crossover-consistency and FG-order from one branch difference per n
-    over (1, n): FG-order's means (1, 2/sqrt(3)) are a prefix of it."""
+    """crossover-consistency from one branch difference per n over (1, n)."""
     grid = _lam_grid(1.0 + lambda_step, float(n_max), lambda_step)
-    fg = _prefix(grid, SLOPE_THRESHOLD).size
     for n in range(2, n_max + 1):
         lams = _prefix(grid, float(n))
         diff = _binomial_term(lams, n) - _shifted_term(lams, n)
@@ -173,7 +172,14 @@ def _gap_rows(n_max: int, lambda_step: float):
         lhs = diff <= CLOSED_FORM_TOL
         rhs = (crossover_threshold(n) - lams) >= -CLOSED_FORM_TOL
         yield "crossover-consistency", np.where((lhs != rhs) & (size > CLOSED_FORM_TOL), size, 0.0), _at(n, lams)
-        yield "FG-order", diff[:fg], _at(n, lams)
+
+
+def _order_rows(n_max: int, lambda_step: float):
+    """FG-order: the branch difference over (1, 2/sqrt(3)) at each n, the
+    points of crossover-consistency's grid below the threshold."""
+    lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step)
+    for n in range(2, n_max + 1):
+        yield "FG-order", _binomial_term(lams, n) - _shifted_term(lams, n), _at(n, lams)
 
 
 def _binomial_rows(n_max: int, lambda_step: float):
@@ -205,7 +211,7 @@ def _slope_rows(n_max: int, lambda_step: float):
 _ROWS = {
     "F-mono-n": _binomial_rows,
     "G-mono-n": _envelope_rows,
-    "FG-order": _gap_rows,
+    "FG-order": _order_rows,
     "H-mono-n": _envelope_rows,
     "H-mono-lambda": _envelope_rows,
     "u-nonneg": _slope_rows,

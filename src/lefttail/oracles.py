@@ -198,7 +198,7 @@ def _tail_states(columns, p0=1.0, p1=0.0):
     return p0, p1
 
 
-def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
+def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state, step):
     """Non-decreasing index tuples into the sorted array ``values`` whose
     value sums lie in ``[lo, hi]``, in lexicographic order.
 
@@ -206,13 +206,11 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
     one parent's children.  ``links`` holds one ``(parent, child)`` pair of
     arrays per depth, no index column: row g's last index is ``child[g]`` of
     the last pair, and its others are those of row ``parent[g]`` one depth
-    up.  ``states`` holds the states of the leaves' parents, one per parent,
-    and row g reads its own parent's at ``parent[g]``: no state is gathered
-    per leaf.  Each node above the leaves makes its states once, by
-    ``step(its parent's states, its last index, rest)`` from the root's
-    ``state`` (length-1 arrays), where ``rest`` counts the indices still to
-    come after it, 1 at the leaves' parents.  ``total`` holds the rows'
-    value sums.
+    up.  ``states`` and ``total``, the value sums, belong to the leaves'
+    parents, one entry per parent, which row g reads at ``parent[g]``: no
+    leaf gathers a state or sums its values.  Each node above the leaves
+    makes its states once, by ``step(its parents' states, parent, child)``
+    over the link from the depth above, from the root's ``state``.
 
     The tuples grow one index at a time.  With ``rest`` indices still to
     come after the next one, each at least its value and at most
@@ -222,7 +220,7 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
     """
     top = values[-1]
 
-    def grow(links: list, state: tuple, total: np.ndarray):
+    def grow(links: list, state, total: np.ndarray):
         depth = len(links)
         rest = size - depth - 1
         start = links[-1][1] if depth else 0
@@ -239,12 +237,10 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state: tuple, step):
             parent = np.repeat(np.arange(a, b), counts[a:b])
             if parent.size:
                 child = np.arange(ends[b - 1] - parent.size, ends[b - 1]) + shift[parent]
-                sums = total[parent] + values[child]
                 if rest:
-                    # the gathered states are freed before the depth below
-                    yield from grow([*links, (parent, child)], step(tuple(s[parent] for s in state), child, rest), sums)
+                    yield from grow([*links, (parent, child)], step(state, parent, child), total[parent] + values[child])
                 else:
-                    yield [*links, (parent, child)], state, sums
+                    yield [*links, (parent, child)], state, total
 
     yield from grow([], state, np.zeros(1, dtype=values.dtype))
 
@@ -276,28 +272,28 @@ def _unit_window(lo: float, hi: float, scale: int) -> tuple[int, int]:
     return math.ceil(lo * scale - 1e-9), math.floor(hi * scale + 1e-9)
 
 
-def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state: tuple, step, finish):
+def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state, step, finish):
     """Both searches' exhaustive stage: counts the rows of :func:`_sorted_tuples`,
     refuses a count over MAX_GRID_POINTS before building any row or state,
     and scans the chunks grown from ``state`` by ``step``, scoring each by
     ``finish(its leaves' parents' states, the rows' parents, last indices,
-    totals)``.  Returns ``(count, best tail, best row as (index, total))``;
-    the first of equal tails wins.
+    the parents' totals)``.  Returns ``(count, best tail, best row's
+    index)``; the first of equal tails wins.
     """
     count = _tuple_count(values, lo, hi, size)
     if count > MAX_GRID_POINTS:
         raise SearchSpaceError(f"exhaustive search has {count} rows, over the budget of {MAX_GRID_POINTS}")
-    best_tail, best_row = -1.0, None
+    best_tail, best_index = -1.0, None
     for links, states, total in _sorted_tuples(values, lo, hi, size, state, step):
         chunk = finish(states, *links[-1], total)
         i = int(np.argmax(chunk))
         if chunk[i] > best_tail:
             # the row's index traced up the links at once: no chunk outlives its scan
-            best_tail, best_row = float(chunk[i]), ([], total[i])
+            best_tail, best_index = float(chunk[i]), []
             for parent, child in reversed(links):
-                best_row[0].insert(0, child[i])
+                best_index.insert(0, child[i])
                 i = parent[i]
-    return count, best_tail, best_row
+    return count, best_tail, best_index
 
 
 def _simplex_point(index, total, lam: float, denom: int) -> list:
@@ -373,12 +369,12 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     unit, window = 1.0 / denom, _unit_window(lam - 1.0, lam, denom)
     # a node's states take its last grid column, a leaf's tail its last column
     # and the exact remainder: the operations of _tail_states over the row's _simplex_point
-    size, best_tail, row = _best_row(
+    size, best_tail, index = _best_row(
         np.arange(denom + 1), *window, n - 1, (np.ones(1), np.zeros(1)),
-        lambda states, child, _: _tail_states([child * unit], *states),
-        lambda states, parent, child, total: np.add(*_tail_states([child * unit, *_simplex_point([], total, lam, denom)], *(s[parent] for s in states))),
+        lambda states, parent, child: _tail_states([child * unit], *(s[parent] for s in states)),
+        lambda states, parent, child, total: np.add(*_tail_states([child * unit, *_simplex_point([], total[parent] + child, lam, denom)], *(s[parent] for s in states))),
     )
-    best_row = [float(q) for q in _simplex_point(*row, lam, denom)]
+    best_row = [float(q) for q in _simplex_point(index, sum(index), lam, denom)]
     moved, symmetric = list(best_row), [lam / n] * n
     moves = _pair_moves(moved) + _pair_moves(symmetric)
     # the first of equal tails wins: the grid row only where the moves left
@@ -445,9 +441,10 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     evaluated once, and counted exactly before any is built.  Values, means
     and probabilities are integer grid units, so the mean window, the ``<= 1``
     test and each tail, a numerator over denom**n, are exact, and
-    ``max_value`` is the best of them, rounded once; n is at most 4.  A
-    leaf parent turns its prefix's 2^(n-1) outcomes into one row of CDF
-    numerators over 0..denom, so a leaf's tail is two reads of that row.
+    ``max_value`` is the best of them, rounded once; n is at most 4.  Each
+    node of the search's tree holds its prefix sum's CDF numerators over
+    0..denom, made from its parent's by F(r) = (1-p) F(r - low) + p F(r -
+    high) for its last summand, so a leaf's tail is that step at r = denom.
     """
     _check_query(lam, n)
     if not 2 <= n <= 4:
@@ -458,33 +455,26 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     low, high, prob, means = _two_point_options(denom)
     lo, hi = _unit_window(lam - resolution, lam + resolution, denom * denom)
     stay = denom - prob
-    # a leaf reads its parent's table row at the columns of its last summand's outcomes
-    low_col, high_col, width = denom - low, denom - high, denom + 2
-    # outcome values reach n * denom <= 80 grid units: int16 holds them in a
-    # quarter of int64's bytes, which raised four searches' peak RSS by 1.2 MB
-    low, high = low.astype(np.int16), high.astype(np.int16)
 
-    def step(states, c, rest):
-        pairs = (low[c], stay[c]), (high[c], prob[c])
-        outcomes = [(v + w, p * q) for v, p in zip(states[::2], states[1::2]) for w, q in pairs]
-        if rest > 1:
-            return tuple(x for outcome in outcomes for x in outcome)
-        # one table row per leaf parent, its column r the numerator of "prefix sum <= r";
-        # sums above denom land in a last column that no leaf reads
-        table, rows = np.zeros((len(c), width), dtype=int), np.arange(len(c))
-        for v, p in outcomes:
-            table[rows, np.minimum(v, denom + 1)] += p
-        return (np.cumsum(table, axis=1, out=table).ravel(),)
+    def column(table, parent, c, r):
+        # the rows' numerators of "prefix sum <= r", read from their parents' tables
+        # at rows r - low + 1 and r - high + 1; an index below row 0 clips onto it
+        width = table.shape[1]
+        at = parent + (r + 1) * width
+        return stay[c] * table.take(at - low[c] * width, mode="clip") + prob[c] * table.take(at - high[c] * width, mode="clip")
 
-    def finish(states, parent, c, _):
-        row = parent * width
-        return stay[c] * states[0].take(row + low_col[c]) + prob[c] * states[0].take(row + high_col[c])
+    def step(table, parent, c):
+        out = np.zeros((denom + 2, len(c)), dtype=int)
+        for r in range(denom + 1):
+            out[r + 1] = column(table, parent, c, r)
+        return out
 
-    # a node's state is its prefix's outcomes, values and probability numerators
-    # alternating, and a leaf parent's its CDF numerators over 0..denom: a leaf's tail,
-    # a numerator over denom**n, reads them at 1 minus each outcome of its last summand
-    size, best, (best_combo, _) = _best_row(means, lo, hi, n, (np.zeros(1, dtype=np.int16), np.ones(1, dtype=int)), step, finish)
-    argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c] / denom)) for c in best_combo)
+    # a node's state is a (denom + 2, nodes) table: row r + 1 holds the numerators of
+    # "prefix sum <= r" over denom**depth, and row 0 the zero below every sum
+    root = np.ones((denom + 2, 1), dtype=int)
+    root[0] = 0
+    size, best, index = _best_row(means, lo, hi, n, root, step, lambda table, parent, c, _: column(table, parent, c, denom))
+    argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c] / denom)) for c in index)
     return SearchReport(best / denom**n, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
 
 

@@ -400,23 +400,31 @@ class TestGridChecks:
             assert first == 1.0 + step
             assert SLOPE_THRESHOLD - step <= last < SLOPE_THRESHOLD, (step, last)
 
+    def test_fg_order_evaluates_only_its_own_points(self, monkeypatch):
+        # FG-order alone evaluates the branches at its own points below
+        # 2/sqrt(3), not over crossover-consistency's whole (1, n)
+        evaluated, kernel = [], inequalities._binomial_term
+        monkeypatch.setattr(inequalities, "_binomial_term", lambda lams, n: evaluated.append(lams.size) or kernel(lams, n))
+        res = run_grid_check("FG-order", 50, 0.01)
+        assert sum(evaluated) == res.points_checked == 49 * 15
+
     def test_run_all_order_and_count(self):
         results = run_all_checks(n_max=10, lambda_step=0.05)
         assert tuple(r.claim for r in results) == CLAIMS
         assert all(r.passed for r in results)
 
     def test_run_all_evaluates_each_branch_once_per_n(self, monkeypatch):
-        # F-mono-n's rows and the branch difference that FG-order and
-        # crossover-consistency share call the binomial branch once per n
-        # each, and the difference alone calls the shifted branch; the
-        # envelope claims take both from _envelope_values
+        # F-mono-n's rows and the branch differences of FG-order and
+        # crossover-consistency call the binomial branch once per n each,
+        # and the differences alone call the shifted branch; the envelope
+        # claims take both from _envelope_values
         n_max, calls = 12, {"_binomial_term": [], "_shifted_term": []}
         for name, seen in calls.items():
             kernel = getattr(inequalities, name)
             monkeypatch.setattr(inequalities, name, lambda lams, n, kernel=kernel, seen=seen: seen.append(n) or kernel(lams, n))
         assert all(r.passed for r in run_all_checks(n_max, 0.05))
-        assert sorted(calls["_binomial_term"]) == sorted([*range(2, n_max + 1)] * 2)
-        assert calls["_shifted_term"] == [*range(2, n_max + 1)]
+        assert sorted(calls["_binomial_term"]) == sorted([*range(2, n_max + 1)] * 3)
+        assert sorted(calls["_shifted_term"]) == sorted([*range(2, n_max + 1)] * 2)
 
     def test_run_all_peaks_at_the_costliest_claim(self):
         # the row generators run one after another and a finished one holds

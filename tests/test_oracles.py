@@ -51,11 +51,11 @@ def touches_boundary(q, tol):
     return any(v <= tol or v >= 1.0 - tol for v in q)
 
 
-def keep_index(state, child, _rest):
+def keep_index(state, parent, child):
     """A tree step whose state is a node's index columns: a leaf chunk's
     states are then its parents' columns, all of its index but the last,
     one entry per parent, which a row reads through the last link."""
-    return (*state, child)
+    return (*(s[parent] for s in state), child)
 
 
 def traced_index(links, rows):
@@ -146,7 +146,7 @@ class TestSimplexGrid:
             for chunk in (oracles.CHUNK_ROWS, 7):
                 monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
                 chunks = [
-                    (links, [*(s[links[-1][0]] for s in states), links[-1][1]], total)
+                    (links, [*(s[links[-1][0]] for s in states), links[-1][1]], total[links[-1][0]] + links[-1][1])
                     for links, states, total in oracles._sorted_tuples(values, *window, n - 1, (), keep_index)
                 ]
                 got = np.concatenate([np.column_stack(oracles._simplex_point(c[1], c[2], lam, denom)) for c in chunks])
@@ -168,15 +168,15 @@ class TestBestRow:
         # every chunk ties; the first row of the first chunk is kept
         monkeypatch.setattr(oracles, "CHUNK_ROWS", 1)
         values = np.arange(4)
-        count, tail, (index, total) = oracles._best_row(
-            values, 2, 4, 2, (), keep_index, lambda state, parent, child, total: np.zeros(len(total))
+        count, tail, index = oracles._best_row(
+            values, 2, 4, 2, (), keep_index, lambda state, parent, child, total: np.zeros(len(child))
         )
-        assert (count, tail, [int(c) for c in index], int(total)) == (6, 0.0, [0, 2], 2)
+        assert (count, tail, [int(c) for c in index], int(sum(index))) == (6, 0.0, [0, 2], 2)
         # (0, 3), (1, 1), (1, 2), (1, 3), (2, 2) follow: the first strictly higher tail replaces it
-        count, tail, (index, total) = oracles._best_row(
+        count, tail, index = oracles._best_row(
             values, 2, 4, 2, (), keep_index, lambda state, parent, child, total: 1.0 * (state[0][parent] >= 1)
         )
-        assert (count, tail, [int(c) for c in index], int(total)) == (6, 1.0, [1, 1], 2)
+        assert (count, tail, [int(c) for c in index], int(sum(index))) == (6, 1.0, [1, 1], 2)
 
     def test_budget_is_checked_before_any_row(self, monkeypatch):
         monkeypatch.setattr(oracles, "MAX_GRID_POINTS", 5)
@@ -248,10 +248,10 @@ class TestFoldedStage:
         for chunk in chunks:
             monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
             rep = maximize_bernoulli_tail(n, lam, resolution)
-            count, tail, (index, total) = stages.pop()
+            count, tail, index = stages.pop()
             assert (count, tail.hex()) == (want_count, want_tail.hex()), chunk
-            assert [int(c) for c in index] == [int(c) for c in want_index] and total == want_total, chunk
-            assert [float(q).hex() for q in oracles._simplex_point(index, total, lam, denom)] == want_row, chunk
+            assert [int(c) for c in index] == [int(c) for c in want_index] and sum(index) == want_total, chunk
+            assert [float(q).hex() for q in oracles._simplex_point(index, sum(index), lam, denom)] == want_row, chunk
             assert rep.points_evaluated >= count and rep.max_value >= tail
 
     @pytest.mark.parametrize("n, lam, resolution, chunks", TWO_POINT_STAGES, ids=chunk_ids)
@@ -294,7 +294,7 @@ class TestTupleCount:
                 count = oracles._tuple_count(means, lo, hi, n)
                 for chunk in (oracles.CHUNK_ROWS, 7):
                     monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
-                    rows = sum(len(c[-1]) for c in oracles._sorted_tuples(means, lo, hi, n, (), keep_index))
+                    rows = sum(len(links[-1][1]) for links, _, _ in oracles._sorted_tuples(means, lo, hi, n, (), keep_index))
                     assert count == rows, (n, lam, chunk)
 
     def test_refuses_a_count_that_could_wrap(self):
@@ -548,6 +548,13 @@ class TestMaximizeTwoPoint:
         for n, lam, resolution in ((2.0, 1.5, 0.1), (2, 1.5, math.inf), (2, 1.5, math.nan), (2, 1.5, 2.5), (2, 2.5, 0.1)):
             with pytest.raises(ValueError):
                 maximize_two_point(n, lam, resolution)
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        # 4.07 M rows: about 98 MB as one array of three int64 indices a row
+        reports = []
+        peak = traced_peak(lambda: reports.append(maximize_two_point(3, 1.5, 0.1)))
+        assert reports[0].points_evaluated > 4_000_000
+        assert peak < 4e6
 
     @pytest.mark.parametrize("lam", [1.2, 1.6, 2.0, 2.8])
     def test_four_summands(self, lam):
