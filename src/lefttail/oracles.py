@@ -161,9 +161,9 @@ class SearchReport:
     """Outcome of an exhaustive search against a bound.
 
     ``lefttail verify`` passes iff max_value - bound_value <= CLOSED_FORM_TOL.
-    ``points_evaluated`` counts the simplex grid rows plus the pair moves
-    evaluated, or the sorted two-point combinations in the mean window, each
-    counted exactly before a row is built.
+    ``points_evaluated`` counts the simplex grid rows (multisets where lam
+    is on the grid) plus the pair moves evaluated, or the sorted two-point
+    combinations in the mean window, each counted exactly before a row is built.
     """
 
     max_value: float
@@ -198,7 +198,7 @@ def _tail_states(columns, p0=1.0, p1=0.0):
     return p0, p1
 
 
-def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state, step):
+def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state, step, implied: int = 0):
     """Non-decreasing index tuples into the sorted array ``values`` whose
     value sums lie in ``[lo, hi]``, in lexicographic order.
 
@@ -213,10 +213,12 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state, step):
     over the link from the depth above, from the root's ``state``.
 
     The tuples grow one index at a time.  With ``rest`` indices still to
-    come after the next one, each at least its value and at most
-    ``values[-1]``, the next value v can complete a tuple in the window
-    only if ``total + (rest + 1) v <= hi`` and ``total + v + rest
-    values[-1] >= lo``; every depth keeps just that range.
+    come after the next one, plus ``implied``, each at least its value and
+    at most ``values[-1]``, the next value v can complete a tuple in the
+    window only if ``total + (rest + 1 + implied) v <= hi`` and ``total + v
+    + (rest + implied) values[-1] >= lo``; every depth keeps just that range.
+    With ``implied`` 1, ``values`` are 0..top and the window one sum of size
+    + 1 indices: each multiset once, its largest, ``hi - total``, implied.
     """
     top = values[-1]
 
@@ -224,8 +226,8 @@ def _sorted_tuples(values: np.ndarray, lo, hi, size: int, state, step):
         depth = len(links)
         rest = size - depth - 1
         start = links[-1][1] if depth else 0
-        lb = np.maximum(start, np.searchsorted(values, lo - total - rest * top, side="left"))
-        ub = np.searchsorted(values, (hi - total) / (rest + 1), side="right")
+        lb = np.maximum(start, np.searchsorted(values, lo - total - (rest + implied) * top, side="left"))
+        ub = np.searchsorted(values, (hi - total) / (rest + 1 + implied), side="right")
         counts = np.maximum(ub - lb, 0)
         ends = np.cumsum(counts)
         # row g of the depth has parent p with ends[p-1] <= g < ends[p] and
@@ -272,19 +274,20 @@ def _unit_window(lo: float, hi: float, scale: int) -> tuple[int, int]:
     return math.ceil(lo * scale - 1e-9), math.floor(hi * scale + 1e-9)
 
 
-def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state, step, finish):
+def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state, step, finish, implied: int = 0):
     """Both searches' exhaustive stage: counts the rows of :func:`_sorted_tuples`,
-    refuses a count over MAX_GRID_POINTS before building any row or state,
-    and scans the chunks grown from ``state`` by ``step``, scoring each by
-    ``finish(its leaves' parents' states, the rows' parents, last indices,
-    the parents' totals)``.  Returns ``(count, best tail, best row's
-    index)``; the first of equal tails wins.
+    the ``size + implied``-multisets in the window, refuses a count over
+    MAX_GRID_POINTS before building any row or state, and scans the chunks
+    grown from ``state`` by ``step``, scoring each by ``finish(its leaves'
+    parents' states, the rows' parents, last indices, the parents'
+    totals)``.  Returns ``(count, best tail, best row's index)``, the index
+    without an implied last one; the first of equal tails wins.
     """
-    count = _tuple_count(values, lo, hi, size)
+    count = _tuple_count(values, lo, hi, size + implied)
     if count > MAX_GRID_POINTS:
         raise SearchSpaceError(f"exhaustive search has {count} rows, over the budget of {MAX_GRID_POINTS}")
     best_tail, best_index = -1.0, None
-    for links, states, total in _sorted_tuples(values, lo, hi, size, state, step):
+    for links, states, total in _sorted_tuples(values, lo, hi, size, state, step, implied):
         chunk = finish(states, *links[-1], total)
         i = int(np.argmax(chunk))
         if chunk[i] > best_tail:
@@ -299,8 +302,9 @@ def _best_row(values: np.ndarray, lo: int, hi: int, size: int, state, step, fini
 def _simplex_point(index, total, lam: float, denom: int) -> list:
     """The point on {q in [0,1]^n : sum q = lam} of a row of :func:`_sorted_tuples`
     over 0..denom, or the columns of a chunk's points: the row's multiples of
-    1/denom (sorted prefixes cover every multiset, as the tail is symmetric),
-    then the exact remainder, clipped into [0,1] against rounding.
+    1/denom, then the exact remainder, clipped into [0,1] against rounding
+    (the row's largest grid value where lam is on the grid; sorted rows
+    cover every multiset, as the tail is symmetric).
     """
     unit = 1.0 / denom
     last = lam - total * unit
@@ -350,15 +354,17 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     at fixed mean.
 
     Searches {q in [0,1]^n : sum q = lam} at the given grid resolution,
-    runs :func:`_pair_moves` from the best grid row and from the symmetric
-    point (lam/n, ..., lam/n), and compares the maximum against the
-    finite-n bound.  The second start reaches the binomial extremal where
-    every grid row has two coordinates at 1, so that every row's tail and
-    every pair's states are 0 and no move is made.  ``max_value`` is the
-    tail of the returned argmax: the best of the two moved points and the
-    grid row, which rounding can leave higher.  It should exceed the bound
-    by rounding at most; the argmax is expected to have its interior
-    coordinates equal, with the others at 0 or 1.
+    over sorted grid prefixes of n - 1 coordinates and the exact remainder
+    (where lam is on the grid, the largest of the row's n grid values, so
+    each multiset is scanned once), runs :func:`_pair_moves` from the best
+    grid row and from the symmetric point (lam/n, ..., lam/n), and compares
+    the maximum against the finite-n bound.  The second start reaches the
+    binomial extremal where every grid row has two coordinates at 1, so
+    that every row's tail and every pair's states are 0 and no move is
+    made.  ``max_value`` is the tail of the returned argmax: the best of
+    the two moved points and the grid row, which rounding can leave higher.
+    It should exceed the bound by rounding at most; the argmax is expected
+    to have its interior coordinates equal, with the others at 0 or 1.
     """
     _check_query(lam, n)
     if not 2 <= n <= 6:
@@ -366,13 +372,15 @@ def maximize_bernoulli_tail(n: int, lam: float, resolution: float) -> SearchRepo
     if not 1e-3 <= resolution <= 0.1:
         raise ValueError(f"resolution must be in [1e-3, 0.1], got {resolution}")
     denom = round(1.0 / resolution)
-    unit, window = 1.0 / denom, _unit_window(lam - 1.0, lam, denom)
+    unit, (lo, hi) = 1.0 / denom, _unit_window(lam - 1.0, lam, denom)
+    implied = int(hi - lo == denom)
     # a node's states take its last grid column, a leaf's tail its last column
     # and the exact remainder: the operations of _tail_states over the row's _simplex_point
     size, best_tail, index = _best_row(
-        np.arange(denom + 1), *window, n - 1, (np.ones(1), np.zeros(1)),
+        np.arange(denom + 1), hi if implied else lo, hi, n - 1, (np.ones(1), np.zeros(1)),
         lambda states, parent, child: _tail_states([child * unit], *(s[parent] for s in states)),
         lambda states, parent, child, total: np.add(*_tail_states([child * unit, *_simplex_point([], total[parent] + child, lam, denom)], *(s[parent] for s in states))),
+        implied,
     )
     best_row = [float(q) for q in _simplex_point(index, sum(index), lam, denom)]
     moved, symmetric = list(best_row), [lam / n] * n

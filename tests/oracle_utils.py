@@ -119,11 +119,12 @@ def recursive_simplex_grid(n: int, lam: float, denom: int) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def per_row_best_row(values: np.ndarray, lo: int, hi: int, size: int, tails) -> tuple:
+def per_row_best_row(values: np.ndarray, lo: int, hi: int, size: int, tails, keep=None) -> tuple:
     """``(count, best tail, best row as (index, total))`` of the exhaustive
     stage, with every row built in full: the non-decreasing index tuples into
     the sorted ``values`` whose value sums lie in ``[lo, hi]``, in
-    lexicographic order, as ``size`` index columns and their sums, then
+    lexicographic order, as ``size`` index columns and their sums, less the
+    rows where ``keep(index, total)``, if given, is false, then
     ``tails(index, total)`` over all of them at once.  The first of equal
     tails wins.
 
@@ -142,6 +143,9 @@ def per_row_best_row(values: np.ndarray, lo: int, hi: int, size: int, tails) -> 
         # each parent's children rise from lb[parent] in the order of the rows
         child = np.arange(len(parent)) - (np.cumsum(counts) - counts)[parent] + lb[parent]
         index, total = [column[parent] for column in index] + [child], total[parent] + values[child]
+    if keep is not None:
+        rows = keep(index, total)
+        index, total = [column[rows] for column in index], total[rows]
     chunk = tails(index, total)
     i = int(np.argmax(chunk))
     return len(total), float(chunk[i]), ([column[i] for column in index], total[i])
@@ -165,6 +169,15 @@ def per_row_two_point_tails(summands: list, denom: int) -> np.ndarray:
     for outcomes in others[1:]:
         rest = [(v + w, p * q) for v, p in rest for w, q in outcomes]
     return sum(prob * sum(p * (v <= denom - value) for v, p in rest) for value, prob in first)
+
+
+def exact_bernoulli_tail(means) -> Fraction:
+    """P(sum of independent Bernoullis <= 1) in rational arithmetic, for
+    means given as ``Fraction``s, by the states P(sum = 0), P(sum = 1)."""
+    p0, p1 = Fraction(1), Fraction(0)
+    for q in means:
+        p0, p1 = p0 * (1 - q), p1 * (1 - q) + p0 * q
+    return p0 + p1
 
 
 def multiset_count(values, lo: int, hi: int, size: int) -> int:

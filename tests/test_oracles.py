@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracle_utils import (
     enum_bernoulli_states,
     enum_bernoulli_tail,
     enum_two_point_tail,
+    exact_bernoulli_tail,
     exact_simplex_volume_tail,
     multiset_count,
     per_row_best_row,
@@ -65,6 +67,13 @@ def traced_index(links, rows):
     for parent, child in reversed(links):
         index, rows = [child[rows], *index], parent[rows]
     return index
+
+
+def implied_rows(links, total_sum):
+    """The rows of a chunk of ``_sorted_tuples``, each with its implied last
+    index ``total_sum`` minus the sum of the others."""
+    index = traced_index(links, np.arange(len(links[-1][1])))
+    return [(*row, total_sum - sum(row)) for row in zip(*map(np.ndarray.tolist, index))]
 
 
 def traced_peak(call):
@@ -162,6 +171,24 @@ class TestSimplexGrid:
                         assert np.array_equal(np.array(row).view(np.int64), got[start + i].view(np.int64)), (lam, chunk)
                     start += len(total)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_on_grid_rows_are_the_multisets(self, n, monkeypatch):
+        # with the last index implied, the rows summing to L are the multisets
+        # of n grid values summing to L, each once, its largest value implied
+        for denom in (4, 5, 10):
+            values = np.arange(denom + 1)
+            combos = list(itertools.combinations_with_replacement(range(denom + 1), n))
+            for L in range(n * denom + 1):
+                want = [combo for combo in combos if sum(combo) == L]
+                assert oracles._tuple_count(values, L, L, n) == len(want), (denom, L)
+                for chunk in (oracles.CHUNK_ROWS, 7):
+                    monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
+                    rows = []
+                    for links, _, _ in oracles._sorted_tuples(values, L, L, n - 1, (), keep_index, 1):
+                        rows += implied_rows(links, L)
+                    # want holds distinct sorted tuples: each is yielded once, and nothing else
+                    assert sorted(rows) == want, (denom, L, chunk)
+
 
 class TestBestRow:
     def test_first_of_equal_tails_wins(self, monkeypatch):
@@ -228,19 +255,41 @@ def per_row_two_point(denom: int) -> tuple:
     return (low, high, k, means), tails
 
 
+def simplex_row_tails(lam: float, denom: int):
+    """``tails(index, total)`` of simplex rows by the whole tail recurrence."""
+
+    def tails(index, total):
+        return np.add(*oracles._tail_states(oracles._simplex_point(index, total, lam, denom)))
+
+    return tails
+
+
+def on_grid(lam: float, denom: int) -> bool:
+    return abs(lam * denom - round(lam * denom)) <= 1e-9
+
+
+def off_grid_simplex_cases(seed: int, per_n: int) -> list:
+    """``per_n`` seeded ``(n, lam, resolution)`` at each n = 2..6 whose mean
+    is off the grid."""
+    rng = np.random.default_rng(seed)
+    cases = [(n, float(np.round(rng.uniform(0.0, n), 3)), float(rng.choice([0.1, 0.05, 0.04]))) for n in range(2, 7) for _ in range(per_n)]
+    return [case for case in cases if not on_grid(case[1], round(1.0 / case[2]))]
+
+
 class TestFoldedStage:
     """Each tree node's tail states are made once, yet every search keeps
     the per-row stage's count, best tail and best row bit for bit."""
 
     @pytest.mark.parametrize("n, lam, resolution, chunks", SIMPLEX_STAGES, ids=chunk_ids)
     def test_simplex_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
+        # on the grid the per-row stage's rows hold each multiset once for each
+        # value its remainder can take; only the row whose remainder index hi - total
+        # is at least its last index, its largest value, is kept
         denom = round(1.0 / resolution)
-
-        def tails(index, total):
-            return np.add(*oracles._tail_states(oracles._simplex_point(index, total, lam, denom)))
-
+        window = oracles._unit_window(lam - 1.0, lam, denom)
+        keep = (lambda index, total: window[1] - total >= index[-1]) if on_grid(lam, denom) else None
         want_count, want_tail, (want_index, want_total) = per_row_best_row(
-            np.arange(denom + 1), *oracles._unit_window(lam - 1.0, lam, denom), n - 1, tails
+            np.arange(denom + 1), *window, n - 1, simplex_row_tails(lam, denom), keep
         )
         want_row = [float(q).hex() for q in oracles._simplex_point(want_index, want_total, lam, denom)]
         stages, best_row = [], oracles._best_row
@@ -253,6 +302,44 @@ class TestFoldedStage:
             assert [int(c) for c in index] == [int(c) for c in want_index] and sum(index) == want_total, chunk
             assert [float(q).hex() for q in oracles._simplex_point(index, sum(index), lam, denom)] == want_row, chunk
             assert rep.points_evaluated >= count and rep.max_value >= tail
+
+    @pytest.mark.parametrize("n, lam, resolution", off_grid_simplex_cases(2323, 4))
+    def test_off_grid_reports_match_the_full_scan(self, n, lam, resolution, monkeypatch):
+        # off the grid every sorted prefix is scanned: the report is the one
+        # the per-row stage over all of them gives, bit for bit
+        denom = round(1.0 / resolution)
+        rep = maximize_bernoulli_tail(n, lam, resolution)
+        window = oracles._unit_window(lam - 1.0, lam, denom)
+        count, tail, (index, _) = per_row_best_row(np.arange(denom + 1), *window, n - 1, simplex_row_tails(lam, denom))
+        monkeypatch.setattr(oracles, "_best_row", lambda *_: (count, tail, index))
+        want = maximize_bernoulli_tail(n, lam, resolution)
+        assert rep.max_value.hex() == want.max_value.hex()
+        assert [q.hex() for q in rep.argmax.q] == [q.hex() for q in want.argmax.q]
+        assert rep.points_evaluated == want.points_evaluated
+
+    @pytest.mark.parametrize("n, lam, denom", [(2, 1.5, 10), (3, 1.4, 10), (3, 2.0, 20), (4, 1.7, 10), (4, 2.3, 10), (5, 2.2, 10), (5, 4.6, 10), (6, 2.5, 10), (2, 0.3, 10)])
+    def test_on_grid_exact_maximum_matches_the_full_scan(self, n, lam, denom, monkeypatch):
+        # the rows the search scans are the distinct multisets among all sorted
+        # prefixes and their remainders, and reach the same exact maximum tail
+        # over grid values as Fractions
+        L = round(lam * denom)
+        scanned, scan = [], oracles._sorted_tuples
+
+        def recording(*args):
+            for chunk in scan(*args):
+                scanned.extend(implied_rows(chunk[0], L))
+                yield chunk
+
+        monkeypatch.setattr(oracles, "_sorted_tuples", recording)
+        maximize_bernoulli_tail(n, lam, 1.0 / denom)
+        prefixes = itertools.combinations_with_replacement(range(denom + 1), n - 1)
+        full = [(*prefix, L - sum(prefix)) for prefix in prefixes if 0 <= L - sum(prefix) <= denom]
+        assert len(scanned) == len({tuple(sorted(row)) for row in full}) < len(full)
+
+        def exact_max(rows):
+            return max(exact_bernoulli_tail([Fraction(k, denom) for k in row]) for row in rows)
+
+        assert exact_max(scanned) == exact_max(full)
 
     @pytest.mark.parametrize("n, lam, resolution, chunks", TWO_POINT_STAGES, ids=chunk_ids)
     def test_two_point_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
@@ -366,15 +453,16 @@ class TestMaximizeBernoulliTail:
         s = q[i] + q[j]
         assert abs(r0 + r1 * (1.0 - s) + (r1 - r0) * q[i] * q[j] - bernoulli_tail(q)) <= 1e-15
 
-    def test_pair_moves_settle(self):
+    def test_pair_moves_settle(self, monkeypatch):
         # means whose n-th part is not a double would make equal splits
         # cycle in the last bit without the tie rule; no pass cap is reached
+        stages, best_row = [], oracles._best_row
+        monkeypatch.setattr(oracles, "_best_row", lambda *args: stages.append(best_row(*args)) or stages[-1])
         for n in (3, 4, 5, 6):
             for k in range(1, 40):
                 lam = k * n / 40
                 rep = maximize_bernoulli_tail(n, lam, 0.1)
-                grid = oracles._tuple_count(np.arange(11), *oracles._unit_window(lam - 1.0, lam, 10), n - 1)
-                pairs = rep.points_evaluated - grid
+                pairs = rep.points_evaluated - stages.pop()[0]
                 # at least one pass from each of the two starts
                 assert n * (n - 1) <= pairs < oracles.MAX_PAIR_PASSES * n * (n - 1) // 2, (n, lam)
 
@@ -415,9 +503,10 @@ class TestMaximizeBernoulliTail:
         assert maximize_bernoulli_tail(np.int64(3), 1.5, 0.05).bound_value == finite_n_bound(1.5, 3).value
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # 2.72 M grid rows: about 109 MB as one array of five floats a row
+        # 2.81 M grid rows, every sorted prefix as lam is off the grid: about
+        # 112 MB as one array of five floats a row
         reports = []
-        peak = traced_peak(lambda: reports.append(maximize_bernoulli_tail(5, 2.5, 0.01)))
+        peak = traced_peak(lambda: reports.append(maximize_bernoulli_tail(5, 2.5, 1 / 101)))
         assert reports[0].points_evaluated > 2_720_000
         assert peak < 32e6
 
