@@ -163,7 +163,7 @@ class SearchReport:
     ``lefttail verify`` passes iff max_value - bound_value <= CLOSED_FORM_TOL.
     ``points_evaluated`` counts the simplex grid rows (multisets where lam
     is on the grid) plus the pair moves evaluated, or the sorted two-point
-    combinations in the mean window, each counted exactly before a row is built.
+    rows in the mean window's lowest resolution, counted before any is built.
     """
 
     max_value: float
@@ -444,15 +444,16 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
 
     Keeps grid specs whose mean is within ``resolution`` of lam and compares
     the maximal tail against the finite-n bound at lam - resolution, sound at
-    grid precision as the bound is non-increasing in the mean.  The tail is
-    symmetric in its summands, so each multiset of distinct grid summands is
-    evaluated once, and counted exactly before any is built.  Values, means
-    and probabilities are integer grid units, so the mean window, the ``<= 1``
-    test and each tail, a numerator over denom**n, are exact, and
-    ``max_value`` is the best of them, rounded once; n is at most 4.  Each
-    node of the search's tree holds its prefix sum's CDF numerators over
-    0..denom, made from its parent's by F(r) = (1-p) F(r - low) + p F(r -
-    high) for its last summand, so a leaf's tail is that step at r = denom.
+    grid precision as the bound is non-increasing in the mean.  A row is a
+    multiset of distinct grid summands, as the tail is symmetric.  Moving
+    1/denom of probability from high to low, or splitting a point mass v >= 1
+    as (v - 1, v, (denom - 1)/denom), lowers a summand in law, which never
+    lowers the tail, and the row's mean by 1 to denom units of 1/denom**2, to
+    a row scanned earlier: the first row of highest tail lies in the window's
+    lowest denom units from max(lo, 0), the only rows counted and scanned.
+    Values, means and probabilities are integer grid units, so the window, the
+    ``<= 1`` test and each tail, a numerator over denom**n, are exact, and
+    ``max_value`` is the best, rounded once; n is at most 4.
     """
     _check_query(lam, n)
     if not 2 <= n <= 4:
@@ -465,8 +466,7 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
     stay = denom - prob
 
     def column(table, parent, c, r):
-        # the rows' numerators of "prefix sum <= r", read from their parents' tables
-        # at rows r - low + 1 and r - high + 1; an index below row 0 clips onto it
+        # the rows' F(r) from their parents' rows r - low + 1 and r - high + 1, clipped onto row 0
         width = table.shape[1]
         at = parent + (r + 1) * width
         return stay[c] * table.take(at - low[c] * width, mode="clip") + prob[c] * table.take(at - high[c] * width, mode="clip")
@@ -477,11 +477,11 @@ def maximize_two_point(n: int, lam: float, resolution: float) -> SearchReport:
             out[r + 1] = column(table, parent, c, r)
         return out
 
-    # a node's state is a (denom + 2, nodes) table: row r + 1 holds the numerators of
-    # "prefix sum <= r" over denom**depth, and row 0 the zero below every sum
+    # a node's state is a (denom + 2, nodes) table: row r + 1 holds F(r), the numerator of "prefix sum <= r"
+    # over denom**depth, (1-p) F(r - low) + p F(r - high) of its parent's, row 0 the zero below every sum
     root = np.ones((denom + 2, 1), dtype=int)
     root[0] = 0
-    size, best, index = _best_row(means, lo, hi, n, root, step, lambda table, parent, c, _: column(table, parent, c, denom))
+    size, best, index = _best_row(means, lo, min(hi, max(lo, 0) + denom - 1), n, root, step, lambda table, parent, c, _: column(table, parent, c, denom))
     argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(prob[c] / denom)) for c in index)
     return SearchReport(best / denom**n, argmax, finite_n_bound(max(0.0, lam - resolution), n).value, size)
 

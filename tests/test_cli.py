@@ -318,7 +318,7 @@ class TestVerifyCommand:
     def test_two_point_four_summands(self):
         proc = run_cli("verify", "two-point", "--n", "4", "--lambda", "2", "--resolution", "0.2")
         assert proc.returncode == 0
-        assert proc.stdout == "two-point,true,0.000000e+00,273995\n"
+        assert proc.stdout == "two-point,true,0.000000e+00,124207\n"
 
     @pytest.mark.parametrize("target, search, resolution", [("lemma4", "maximize_bernoulli_tail", "0.1"),
                                                             ("two-point", "maximize_two_point", "0.5")])

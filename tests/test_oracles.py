@@ -243,6 +243,15 @@ TWO_POINT_STAGES += [(n, float(np.round(lam, 3)), res, ALL_CHUNKS) for n in (3, 
 TWO_POINT_STAGES += [(3, 0.136, 0.2, ALL_CHUNKS), (3, 2.495, 1 / 6, ALL_CHUNKS)]
 
 
+def two_point_windows(lam: float, resolution: float) -> tuple:
+    """The two-point search's full mean window ``(lo, hi)`` in units of
+    1/denom**2, and the part it scans: its lowest denom units from max(lo, 0),
+    where the first row of highest tail always lies."""
+    denom = round(1.0 / resolution)
+    lo, hi = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
+    return (lo, hi), (lo, min(hi, max(lo, 0) + denom - 1))
+
+
 def per_row_two_point(denom: int) -> tuple:
     """The two-point options ``(low, high, k, means)`` at resolution
     1/denom, k the numerator of ``prob_high``, and ``tails(index, total)``
@@ -344,11 +353,13 @@ class TestFoldedStage:
     @pytest.mark.parametrize("n, lam, resolution, chunks", TWO_POINT_STAGES, ids=chunk_ids)
     def test_two_point_matches_per_row_stage(self, n, lam, resolution, chunks, monkeypatch):
         # both sides' tails are exact integers over denom**n, so the first
-        # of equal tails is the same row on both
+        # of equal tails is the same row on both; the reference scans the
+        # whole window, and counts the part of it the search scans
         denom = round(1.0 / resolution)
         (low, high, k, means), tails = per_row_two_point(denom)
-        window = oracles._unit_window(lam - resolution, lam + resolution, denom * denom)
-        count, tail, (index, _) = per_row_best_row(means, *window, n, tails)
+        window, scanned = two_point_windows(lam, resolution)
+        _, tail, (index, _) = per_row_best_row(means, *window, n, tails)
+        count = multiset_count(means, *scanned, n)
         argmax = tuple(TwoPoint(float(low[c] / denom), float(high[c] / denom), float(k[c] / denom)) for c in index)
         for chunk in chunks:
             monkeypatch.setattr(oracles, "CHUNK_ROWS", chunk)
@@ -511,7 +522,7 @@ class TestMaximizeBernoulliTail:
         assert peak < 32e6
 
     def test_over_budget_rejected_before_allocating(self):
-        for search, args in ((maximize_bernoulli_tail, (6, 3.0, 0.001)), (maximize_two_point, (3, 1.5, 0.05))):
+        for search, args in ((maximize_bernoulli_tail, (6, 3.0, 0.001)), (maximize_two_point, (4, 2.0, 0.05))):
 
             def call(search=search, args=args):
                 with pytest.raises(SearchSpaceError):
@@ -598,7 +609,36 @@ class TestTwoPointMean:
         assert spec_mean([TwoPoint(0.2, 0.8, 0.25)]) == pytest.approx(0.35, abs=1e-15)
 
 
+def seeded_two_point_cases(seed: int, per_setting: int) -> list:
+    """``(n, lam, resolution)`` at n = 2..4 and resolutions 1 to 1/8: lam at
+    0, 1e-9 and n, and ``per_setting`` seeded means between."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n in (2, 3, 4):
+        for denom in range(1, 9):
+            drawn = np.round(rng.uniform(0.0, n, size=per_setting), 3).tolist()
+            cases += [(n, lam, 1 / denom) for lam in (0.0, 1e-9, *drawn, float(n))]
+    return cases
+
+
 class TestMaximizeTwoPoint:
+    @pytest.mark.parametrize("n, lam, resolution", seeded_two_point_cases(2929, 4))
+    def test_scanned_part_keeps_the_whole_window_maximum(self, n, lam, resolution, monkeypatch):
+        # the search scans the lowest denom units of its mean window; a scan
+        # of the whole window by the same stage finds the same first best row
+        rep = maximize_two_point(n, lam, resolution)
+        (window, scanned), best_row = two_point_windows(lam, resolution), oracles._best_row
+        monkeypatch.setattr(oracles, "_best_row", lambda values, lo, hi, *rest: best_row(values, *window, *rest))
+        whole = maximize_two_point(n, lam, resolution)
+        assert (rep.max_value.hex(), rep.argmax) == (whole.max_value.hex(), whole.argmax)
+        assert rep.points_evaluated == multiset_count(oracles._two_point_options(round(1 / resolution))[3], *scanned, n)
+
+    def test_zero_mean(self):
+        # the window reaches below 0, and its scanned part starts at 0
+        rep = maximize_two_point(2, 0.0, 0.1)
+        assert rep.max_value == 1.0
+        assert rep.argmax == (TwoPoint(0.0, 0.0, 0.0),) * 2
+
     def test_mid_mean(self):
         rep = maximize_two_point(2, 1.5, 0.05)
         assert rep.bound_value - rep.max_value >= -1e-9
@@ -633,15 +673,15 @@ class TestMaximizeTwoPoint:
         with pytest.raises(ValueError):
             maximize_two_point(2, 1.5, 0.01)
         with pytest.raises(SearchSpaceError):
-            maximize_two_point(3, 1.5, 0.05)
+            maximize_two_point(4, 2.0, 0.05)
         for n, lam, resolution in ((2.0, 1.5, 0.1), (2, 1.5, math.inf), (2, 1.5, math.nan), (2, 1.5, 2.5), (2, 2.5, 0.1)):
             with pytest.raises(ValueError):
                 maximize_two_point(n, lam, resolution)
 
     def test_memory_does_not_grow_with_the_grid(self):
-        # 4.07 M rows: about 98 MB as one array of three int64 indices a row
+        # 4.13 M rows: about 99 MB as one array of three int64 indices a row
         reports = []
-        peak = traced_peak(lambda: reports.append(maximize_two_point(3, 1.5, 0.1)))
+        peak = traced_peak(lambda: reports.append(maximize_two_point(3, 1.5, 1 / 11)))
         assert reports[0].points_evaluated > 4_000_000
         assert peak < 4e6
 
@@ -649,14 +689,16 @@ class TestMaximizeTwoPoint:
     def test_four_summands(self, lam):
         # points_evaluated against sorted 4-tuples of the distinct options
         # (one point mass per grid value, and low < high with 0 < p < 1)
-        # whose means, in units of 1/25, sum to within 5 of 25 lam
+        # whose means, in units of 1/25, sum to within 5 of 25 lam and to
+        # below max(25 lam - 5, 0) + 5, the part of that window scanned
         rep = maximize_two_point(4, lam, 0.2)
         assert rep.bound_value - rep.max_value >= 0.0
         assert two_point_tail(rep.argmax) == pytest.approx(rep.max_value, abs=1e-12)
         spread = [(a, b, k) for a in range(6) for b in range(a + 1, 6) for k in range(1, 5)]
         means = [5 * v for v in range(6)] + [5 * a + k * (b - a) for a, b, k in spread]
         target = round(25 * lam)
-        want = sum(abs(sum(c) - target) <= 5 for c in itertools.combinations_with_replacement(means, 4))
+        top = min(target + 5, max(target - 5, 0) + 4)
+        want = sum(target - 5 <= sum(c) <= top for c in itertools.combinations_with_replacement(means, 4))
         assert rep.points_evaluated == want
 
     def test_distinct_options(self):
@@ -668,8 +710,9 @@ class TestMaximizeTwoPoint:
 
     def test_matches_uncanonicalised_triple_loop(self, monkeypatch):
         # every ordered triple of the (low <= high, p) grid specs, point
-        # masses written several ways included; the search visits each
-        # multiset of distinct distributions once
+        # masses written several ways included; the maximum is taken over
+        # the whole window, and the search visits each multiset of distinct
+        # distributions in its lowest 4 units of 1/16, 20 to 23, once
         resolution = 0.25
         values = [k / 4 for k in range(5)]
         options = [(low, high, p) for low in values for high in values if high >= low for p in values]
@@ -687,7 +730,8 @@ class TestMaximizeTwoPoint:
             if abs(means[a] + means[b] + means[c] - lam) <= resolution + 1e-12:
                 triple = (options[a], options[b], options[c])
                 direct = max(direct, enum_two_point_tail(triple))
-                multisets.add(tuple(sorted(map(canonical, triple))))
+                if round(16 * (means[a] + means[b] + means[c])) <= 23:
+                    multisets.add(tuple(sorted(map(canonical, triple))))
         rep = maximize_two_point(3, lam, resolution)
         assert abs(rep.max_value - direct) <= 1e-15
         assert rep.points_evaluated == len(multisets)
