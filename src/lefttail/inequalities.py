@@ -6,13 +6,12 @@ the envelope in both arguments, and non-negativity of the scaled slope
 that drives the branch-growth argument.  Each check sweeps a closed-form
 inequality over a grid and reports the worst violation.
 
-Each row generator evaluates its kernel once per summand count, or block
-of means, for all of its claims: the envelope for G-mono-n, H-mono-n and
-H-mono-lambda, the branch difference over (1, n) for crossover-consistency
-and over (1, 2/sqrt(3)) for FG-order, the binomial branch for F-mono-n, the
+The six branch claims share the means k * step.  Each row generator runs
+its kernel once per summand count, or block of means, for all its claims:
+the envelope and both its branches for the five claims other than FG-order
+and u-nonneg, the branch difference over (1, 2/sqrt(3)) for FG-order, the
 scaled slope for u-nonneg.  One reducer keeps each claim's worst violation,
-its point and its count of points, the same way for every claim and entry
-point.
+its point and its count of points, alike for every claim and entry point.
 """
 
 from __future__ import annotations
@@ -145,52 +144,41 @@ def _at(n: int, lams: np.ndarray):
 
 
 def _envelope_rows(n_max: int, lambda_step: float):
-    """H-mono-lambda, H-mono-n and G-mono-n from one evaluation per n of the
-    envelope and its shifted row over [0, n]; G-mono-n's grid [0, n - 1) is
-    a prefix of the one at n - 1."""
+    """Five claims from one evaluation per n of the envelope and both its
+    branch rows over [0, n]: H-mono-lambda; against the rows at n - 1,
+    G-mono-n over [0, n - 1), F-mono-n over its means from 2/sqrt(3) on and
+    H-mono-n over [0, n - 1]; crossover-consistency over (1, n)."""
     grid = _lam_grid(0.0, float(n_max), lambda_step, include_hi=True)
     for n in range(1, n_max + 1):
         lams = _prefix(grid, n, include_hi=True)
-        env, shifted = _envelope_values(lams, n)
+        env, binomial, shifted = _envelope_values(lams, n)
         yield "H-mono-lambda", env[1:] - env[:-1], _at(n, lams[1:])
-        if n > 1:
-            yield "H-mono-n", last_env - env[: last_lams.size], _at(n - 1, last_lams)
         if n > 2:
             g_lams = _prefix(last_lams, n - 1)
-            yield "G-mono-n", last_shifted[: g_lams.size] - shifted[: g_lams.size], _at(n - 1, g_lams)
-        last_lams, last_env, last_shifted = lams, env, shifted
-
-
-def _gap_rows(n_max: int, lambda_step: float):
-    """crossover-consistency from one branch difference per n over (1, n)."""
-    grid = _lam_grid(1.0 + lambda_step, float(n_max), lambda_step)
-    for n in range(2, n_max + 1):
-        lams = _prefix(grid, float(n))
-        diff = _binomial_term(lams, n) - _shifted_term(lams, n)
-        # the shifted branch dominates exactly up to the threshold
-        size = np.abs(diff)
-        lhs = diff <= CLOSED_FORM_TOL
-        rhs = (crossover_threshold(n) - lams) >= -CLOSED_FORM_TOL
-        yield "crossover-consistency", np.where((lhs != rhs) & (size > CLOSED_FORM_TOL), size, 0.0), _at(n, lams)
+            k, f = g_lams.size, np.searchsorted(g_lams, SLOPE_THRESHOLD)
+            yield "G-mono-n", last_shifted[:k] - shifted[:k], _at(n - 1, g_lams)
+            yield "F-mono-n", last_binomial[f:k] - binomial[f:k], _at(n - 1, g_lams[f:])
+        if n > 1:
+            yield "H-mono-n", last_env - env[: last_lams.size], _at(n - 1, last_lams)
+            a, b = np.searchsorted(lams, (1.0 + 1e-12, n - 1e-12))
+            diff = binomial[a:b] - shifted[a:b]
+            # the shifted branch dominates exactly up to the threshold; the row
+            # reuses diff's memory, so the loop keeps no row the reducer does not
+            lhs = diff <= CLOSED_FORM_TOL
+            rhs = (crossover_threshold(n) - lams[a:b]) >= -CLOSED_FORM_TOL
+            size = np.abs(diff, out=diff)
+            size[~((lhs != rhs) & (size > CLOSED_FORM_TOL))] = 0.0
+            yield "crossover-consistency", size, _at(n, lams[a:b])
+        last_lams, last_env, last_binomial, last_shifted = lams, env, binomial, shifted
 
 
 def _order_rows(n_max: int, lambda_step: float):
-    """FG-order: the branch difference over (1, 2/sqrt(3)) at each n, the
-    points of crossover-consistency's grid below the threshold."""
-    lams = _lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step)
+    """FG-order: the branch difference at each n over the grid's means in
+    (1, 2/sqrt(3)), those of crossover-consistency below the threshold."""
+    lams = _lam_grid(0.0, SLOPE_THRESHOLD, lambda_step)
+    lams = lams[np.searchsorted(lams, 1.0 + 1e-12) :]
     for n in range(2, n_max + 1):
         yield "FG-order", _binomial_term(lams, n) - _shifted_term(lams, n), _at(n, lams)
-
-
-def _binomial_rows(n_max: int, lambda_step: float):
-    """F-mono-n: each row is evaluated once and compared with the one at n - 1."""
-    grid = _lam_grid(SLOPE_THRESHOLD, float(n_max), lambda_step)
-    for n in range(2, n_max + 1):
-        lams = _prefix(grid, float(n))
-        row = _binomial_term(lams, n)
-        if n > 2:
-            yield "F-mono-n", last_row - row[: last_lams.size], _at(n - 1, last_lams)
-        last_lams, last_row = lams, row
 
 
 def _slope_rows(n_max: int, lambda_step: float):
@@ -209,13 +197,13 @@ def _slope_rows(n_max: int, lambda_step: float):
 
 #: Each claim's row generator, in the order results are reported.
 _ROWS = {
-    "F-mono-n": _binomial_rows,
+    "F-mono-n": _envelope_rows,
     "G-mono-n": _envelope_rows,
     "FG-order": _order_rows,
     "H-mono-n": _envelope_rows,
     "H-mono-lambda": _envelope_rows,
     "u-nonneg": _slope_rows,
-    "crossover-consistency": _gap_rows,
+    "crossover-consistency": _envelope_rows,
 }
 CLAIMS = tuple(_ROWS)
 
@@ -251,7 +239,8 @@ def _check_settings(n_max: int, lambda_step: float) -> None:
 def run_grid_check(claim: str, n_max: int = 100, lambda_step: float = 0.01) -> GridCheckResult:
     """Sweep one claim over its stated (mean, n) or (x, mean) domain: the
     worst violation found (positive = inequality broken) and where it was,
-    by :func:`_reduce`'s rule."""
+    by :func:`_reduce`'s rule.  A claim costs its row generator's whole
+    pass: any of the five envelope claims alone evaluates all five."""
     if claim not in _ROWS:
         raise ValueError(f"unknown claim {claim!r}; expected one of {CLAIMS}")
     _check_settings(n_max, lambda_step)

@@ -238,19 +238,19 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
     rows.
 
     Every claim builds each of its mean grids by :func:`filtered_lam_grid`
-    afresh, and F-mono-n, G-mono-n and H-mono-n evaluate both rows of every
-    n afresh.
+    afresh, the six branch claims from 0 (F-mono-n keeps its means from
+    2/sqrt(3) on, FG-order and crossover-consistency theirs above 1), and
+    F-mono-n, G-mono-n and H-mono-n evaluate both rows of every n afresh.
     u-nonneg goes one mean at a time through :func:`slope_expression`.
     H-mono-n and H-mono-lambda evaluate the envelope by
-    :func:`masked_envelope_values`, and each of the three envelope claims
-    evaluates its own rows, as do FG-order and crossover-consistency.  This
-    is the reference for the version that evaluates each row once, cuts
-    each grid from the one at ``n_max``, takes u-nonneg in blocks of means,
-    reduces every claim's rows in one loop, and serves the claims from one
-    row generator per kernel: G-mono-n, H-mono-n and H-mono-lambda from one
-    pass over the envelope, FG-order and crossover-consistency from one
-    branch difference (by ``run_grid_check`` one claim at a time, or by
-    ``run_all_checks`` every generator once).
+    :func:`masked_envelope_values`, and every claim evaluates its own rows
+    from its own kernel.  This is the reference for the version that
+    evaluates each row once, cuts each grid from the one at ``n_max``,
+    takes u-nonneg in blocks of means, reduces every claim's rows in one
+    loop, and serves five claims from one pass over the envelope and both
+    its branches, FG-order and u-nonneg from generators of their own (by
+    ``run_grid_check`` one claim at a time, or by ``run_all_checks`` every
+    generator once).
     """
     from lefttail.bounds import _binomial_term, _shifted_term
     from lefttail.inequalities import (
@@ -275,7 +275,8 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             consider(float(-u[idx]), {"lam": float(lam), "x": float(xs[idx])})
     elif claim == "FG-order":
         for n in range(2, n_max + 1):
-            lams = filtered_lam_grid(1.0 + lambda_step, SLOPE_THRESHOLD, lambda_step, include_hi=False)
+            lams = filtered_lam_grid(0.0, SLOPE_THRESHOLD, lambda_step, include_hi=False)
+            lams = lams[lams > 1.0 + 1e-12]
             if lams.size == 0:
                 continue
             diff = _binomial_term(lams, n) - _shifted_term(lams, n)
@@ -294,7 +295,8 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             consider(float(diff[idx]), {"n": n, "lam": float(lams[idx + 1])})
     elif claim == "crossover-consistency":
         for n in range(2, n_max + 1):
-            lams = filtered_lam_grid(1.0 + lambda_step, float(n), lambda_step)
+            lams = filtered_lam_grid(0.0, float(n), lambda_step)
+            lams = lams[lams > 1.0 + 1e-12]
             if lams.size == 0:
                 continue
             gap = _shifted_term(lams, n) - _binomial_term(lams, n)
@@ -310,13 +312,14 @@ def per_n_grid_check(claim: str, n_max: int, lambda_step: float) -> tuple[float,
             else:
                 consider(0.0, {"n": n, "lam": float(lams[0])})
     else:
-        term, lo, n_lo, include_hi = {
+        term, floor, n_lo, include_hi = {
             "F-mono-n": (_binomial_term, SLOPE_THRESHOLD, 2, False),
             "G-mono-n": (_shifted_term, 0.0, 2, False),
             "H-mono-n": (masked_envelope_values, 0.0, 1, True),
         }[claim]
         for n in range(n_lo, n_max):
-            lams = filtered_lam_grid(lo, float(n), lambda_step, include_hi)
+            lams = filtered_lam_grid(0.0, float(n), lambda_step, include_hi)
+            lams = lams[lams >= floor]
             if lams.size == 0:
                 continue
             diff = term(lams, n) - term(lams, n + 1)

@@ -77,6 +77,9 @@ CASES = [
     ["verify", "two-point", "--n", "9", "--lambda", "1.2", "--resolution", "0.1"],
     ["verify", "inequalities"],
     ["verify", "inequalities", "--n-max", "12", "--lambda-step", "0.7"],
+    # FG-order's means are the grid's multiples of the step in (1, 2/sqrt(3)):
+    # here the one mean 7 * 0.155 = 1.085, as 1 + 0.155 lies past 2/sqrt(3)
+    ["verify", "inequalities", "--n-max", "40", "--lambda-step", "0.155"],
     ["verify", "inequalities", "--n-max", "0"],
     ["solve-r", "--tol", "1e-12"],
     ["solve-r", "--tol", "1e-8", "--precision", "17"],

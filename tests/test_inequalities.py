@@ -218,11 +218,13 @@ class TestKernels:
 
 
 # (2, 0.5) and (1, 0.5) leave F-mono-n and G-mono-n without a single row;
-# (3, 0.001) gives u-nonneg a last block of 54 means; at (40, 0.16)
-# FG-order has no grid points; a step of 2 - 1e-12 puts a grid point
-# exactly at 2 - 1e-12, the edge of the strict grid [0, 2), which leaves
-# it out
-GRID_SETTINGS = [(100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5), (40, 0.16), (4, 2.0 - 1e-12)]
+# (3, 0.001) gives u-nonneg a last block of 54 means; at (40, 0.2)
+# FG-order has no grid points, at (40, 0.16) one and at (40, 0.155) one
+# below 1.155; a step of 2 - 1e-12 puts a grid point exactly at
+# 2 - 1e-12, the edge of the strict grid [0, 2), which leaves it out
+GRID_SETTINGS = [
+    (100, 0.01), (30, 0.02), (12, 0.7), (3, 0.001), (2, 0.5), (1, 0.5), (40, 0.16), (4, 2.0 - 1e-12), (40, 0.2), (40, 0.155)
+]
 
 
 class TestGridChecks:
@@ -244,13 +246,14 @@ class TestGridChecks:
         assert envelope(np.array([4.0]), 4)[0] == 0.0
 
     def test_envelope_hands_back_its_shifted_row(self):
-        # the shared pass takes G-mono-n's rows from here: below n they are
-        # the shifted branch's bits at the same means
+        # the shared pass takes the branch claims' rows from here: below n
+        # they are the binomial and the shifted branch's bits at the same means
         lams = inequalities._lam_grid(0.0, 51.0, 0.017, include_hi=True)
-        assert _envelope_values(lams, 1)[1] is None
+        assert _envelope_values(lams, 1)[1:] == (None, None)
         for n in (2, 7, 51):
             inside = lams[lams < n]
-            shifted = _envelope_values(lams[: inside.size + 1], n)[1]
+            _, binomial, shifted = _envelope_values(lams[: inside.size + 1], n)
+            assert np.array_equal(binomial[: inside.size].view(np.int64), _binomial_term(inside, n).view(np.int64))
             assert np.array_equal(shifted[: inside.size].view(np.int64), _shifted_term(inside, n).view(np.int64))
 
     def test_envelope_matches_masked_reference(self):
@@ -314,9 +317,16 @@ class TestGridChecks:
                 run_grid_check(claim, n_max)
 
     def test_claim_without_points_fails(self):
-        # at (12, 0.7) and (40, 0.16) FG-order has no grid point; at n_max 1
-        # neither do F-mono-n and G-mono-n
-        cases = [("FG-order", 12, 0.7), ("FG-order", 40, 0.16), ("F-mono-n", 1, 0.01), ("G-mono-n", 1, 0.01)]
+        # at (12, 0.7) and (40, 0.2) FG-order has no grid point in
+        # (1, 2/sqrt(3)); at n_max 1 neither do F-mono-n, G-mono-n and
+        # crossover-consistency
+        cases = [
+            ("FG-order", 12, 0.7),
+            ("FG-order", 40, 0.2),
+            ("F-mono-n", 1, 0.01),
+            ("G-mono-n", 1, 0.01),
+            ("crossover-consistency", 1, 0.01),
+        ]
         for claim, n_max, step in cases:
             res = run_grid_check(claim, n_max, step)
             assert (res.passed, res.worst_violation, res.worst_point, res.points_checked) == (False, 0.0, {}, 0)
@@ -363,19 +373,20 @@ class TestGridChecks:
     @pytest.mark.parametrize("violation, passed, code", [(1e-13, "true", 0), (1e-9, "false", 1)])
     def test_pass_rule_is_closed_form_tol(self, violation, passed, code, monkeypatch, capsys):
         # one row whose worst entry lies just above or below CLOSED_FORM_TOL
-        # decides the claim, in the reducer and on its `verify` line
-        def binomial_rows(n_max, lambda_step):
-            yield "F-mono-n", np.array([-1.0, violation, 0.0]), lambda i: {"n": 2, "lam": 1.5 + i}
+        # decides the claim, in the reducer and on its `verify` line; FG-order
+        # has a generator of its own, which the faked one replaces whole
+        def order_rows(n_max, lambda_step):
+            yield "FG-order", np.array([-1.0, violation, 0.0]), lambda i: {"n": 2, "lam": 1.05 + i}
 
-        monkeypatch.setitem(inequalities._ROWS, "F-mono-n", binomial_rows)
-        res = run_grid_check("F-mono-n", 12, 0.05)
+        monkeypatch.setitem(inequalities._ROWS, "FG-order", order_rows)
+        res = run_grid_check("FG-order", 12, 0.05)
         assert (res.passed, res.worst_violation, res.worst_point, res.points_checked) == (
-            passed == "true", violation, {"n": 2, "lam": 2.5}, 3
+            passed == "true", violation, {"n": 2, "lam": 2.05}, 3
         )
         assert main(["verify", "inequalities", "--n-max", "12", "--lambda-step", "0.05"]) == code
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == f"F-mono-n,{passed},{violation:.6e},3"
-        assert [line.split(",")[1] for line in lines[1:]] == ["true"] * 6
+        assert lines[CLAIMS.index("FG-order")] == f"FG-order,{passed},{violation:.6e},3"
+        assert [line.split(",")[1] for line in lines if not line.startswith("FG-order,")] == ["true"] * 6
 
     def test_u_nonneg_points_map_into_their_block(self):
         # entry k of a block of 64 means lies at the block's mean k // 999
@@ -388,16 +399,16 @@ class TestGridChecks:
             for k in (0, 998, 999, violations.size - 1):
                 assert point(k) == {"lam": float(lams[64 * r + k // 999]), "x": (k % 999 + 1) / 1000}, (r, k)
 
-    @pytest.mark.parametrize("step", [0.001, 0.01, 0.02, 0.05])
+    @pytest.mark.parametrize("step", [0.001, 0.01, 0.02, 0.05, 0.155])
     def test_fg_order_grid_reaches_the_slope_threshold(self, step):
         # the order is claimed on (1, 2/sqrt(3)): at every n the grid runs
-        # from one step above 1 to its last mean within one step below
-        # the threshold
+        # from the first multiple of the step above 1 to its last mean
+        # within one step below the threshold
         rows = [row for row in inequalities._ROWS["FG-order"](4, step) if row[0] == "FG-order"]
         assert len(rows) == 3
         for _, violations, point in rows:
             first, last = point(0)["lam"], point(violations.size - 1)["lam"]
-            assert first == 1.0 + step
+            assert first == step * (math.floor(1.0 / step + 1e-9) + 1), (step, first)
             assert SLOPE_THRESHOLD - step <= last < SLOPE_THRESHOLD, (step, last)
 
     def test_fg_order_evaluates_only_its_own_points(self, monkeypatch):
@@ -414,17 +425,30 @@ class TestGridChecks:
         assert all(r.passed for r in results)
 
     def test_run_all_evaluates_each_branch_once_per_n(self, monkeypatch):
-        # F-mono-n's rows and the branch differences of FG-order and
-        # crossover-consistency call the binomial branch once per n each,
-        # and the differences alone call the shifted branch; the envelope
-        # claims take both from _envelope_values
-        n_max, calls = 12, {"_binomial_term": [], "_shifted_term": []}
+        # the five envelope claims take both branches from one
+        # _envelope_values call per n, and FG-order's branch difference
+        # alone calls each branch once per n
+        n_max, calls = 12, {"_binomial_term": [], "_shifted_term": [], "_envelope_values": []}
         for name, seen in calls.items():
             kernel = getattr(inequalities, name)
             monkeypatch.setattr(inequalities, name, lambda lams, n, kernel=kernel, seen=seen: seen.append(n) or kernel(lams, n))
         assert all(r.passed for r in run_all_checks(n_max, 0.05))
-        assert sorted(calls["_binomial_term"]) == sorted([*range(2, n_max + 1)] * 3)
-        assert sorted(calls["_shifted_term"]) == sorted([*range(2, n_max + 1)] * 2)
+        assert calls["_envelope_values"] == [*range(1, n_max + 1)]
+        assert calls["_binomial_term"] == calls["_shifted_term"] == [*range(2, n_max + 1)]
+
+    @pytest.mark.parametrize("n_max, step", [(30, 0.02), (12, 0.7), (40, 0.155), (4, 2.0 - 1e-12)])
+    def test_branch_claims_share_the_envelope_grid(self, n_max, step):
+        # every point of the six branch claims' rows is a mean k * step of
+        # the envelope's grid at n_max, bit for bit
+        grid = set(inequalities._lam_grid(0.0, float(n_max), step, include_hi=True).tolist())
+        branch_claims = [claim for claim in CLAIMS if claim != "u-nonneg"]
+        seen = set()
+        for rows in dict.fromkeys(inequalities._ROWS[claim] for claim in branch_claims):
+            for claim, violations, point in rows(n_max, step):
+                seen.add(claim)
+                lams = {point(i)["lam"] for i in range(violations.size)}
+                assert lams <= grid, (claim, sorted(lams - grid)[:3])
+        assert seen == set(branch_claims)
 
     def test_run_all_peaks_at_the_costliest_claim(self):
         # the row generators run one after another and a finished one holds
